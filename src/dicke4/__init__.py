@@ -2,17 +2,17 @@
 Z identical qubits.
 
 The permutation-symmetric operator sector has dimension
-(Z+1)(Z+2)(Z+3)/6 instead of 4^Z; on it the master equation factorizes into
-closed-form exponentials of sparse nilpotent ladder maps, so propagation is
-exact and fast.  A brute-force Pauli-matrix oracle provides independent
+(Z+1)(Z+2)(Z+3)/6 instead of 4^Z.  Damping, pumping and dephasing act site by
+site, so on each slab of fixed q the exact propagator is the symmetric power
+of one 2x2 column-stochastic map times a scalar coherence decay: propagation
+is exact, fast and free of overflow at any Z and tau.  A brute-force Pauli-matrix oracle provides independent
 ground truth at small Z.
 """
 
-from .lindblad_solver import (BchCoefficients, ModelParams,
-                              apply_dephasing_factor, bch_coefficients,
-                              block_eigenmodes, evolve, liouvillian_matrix,
-                              propagate_bch, propagate_decay_closed_form,
-                              spectrum, truncated_dicke_propagate)
+from .lindblad_solver import (ModelParams, block_eigenmodes, evolve,
+                              liouvillian_matrix, propagate_bch,
+                              propagate_decay_closed_form, spectrum,
+                              truncated_dicke_propagate)
 from .observables import (ObservableSeries, atomic_inversion, bell_initial,
                           bell_weights_reference, ghz_initial,
                           ghz_weights_reference, matrix_entropy,
@@ -25,10 +25,9 @@ from .symmetric_sector import (Config, QuantumNumbers, SymmetricBasis,
 from .verification import CheckResult, run_all
 
 __all__ = [
-    "BchCoefficients", "CheckResult", "Config", "ModelParams",
-    "ObservableSeries", "QuantumNumbers", "SymmetricBasis", "SymmetricVector",
-    "apply_dephasing_factor", "atomic_inversion", "basis", "bch_coefficients",
-    "bell_initial", "bell_weights_reference", "block_eigenmodes",
+    "CheckResult", "Config", "ModelParams", "ObservableSeries",
+    "QuantumNumbers", "SymmetricBasis", "SymmetricVector", "atomic_inversion",
+    "basis", "bell_initial", "bell_weights_reference", "block_eigenmodes",
     "config_from_qn", "embed_dense", "enumerate_basis",
     "extract_coefficients", "evolve", "ghz_initial", "ghz_weights_reference",
     "liouvillian_matrix", "matrix_entropy", "multiplicity", "propagate_bch",

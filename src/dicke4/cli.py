@@ -116,7 +116,6 @@ def _collective_initial(kind: str, payload, z: int):
     if kind == "bell":
         return (0, 0)
     if kind == "ghz":
-        h = Fraction(3, 2)
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = rho[3, 3] = 0.5
         rho[0, 3] = rho[3, 0] = -0.5
@@ -174,13 +173,13 @@ def cmd_basis(args) -> int:
 def cmd_spectrum(args) -> int:
     p = ModelParams(z=args.z, s=args.s)
     vals, stat = spectrum(p)
-    labels = enumerate_basis(args.z)[:args.z + 1]
+    q3_values = [Fraction(args.z, 2) - k for k in range(args.z + 1)]
     payload = {
         "z": args.z,
         "s": float(args.s),
         "eigenvalues": [float(v) for v in vals],
-        "stationary": [{"q3": str(qn.q3), "coeff": float(c)}
-                       for qn, c in zip(labels, stat.coeffs)],
+        "stationary": [{"q3": str(q3), "coeff": float(c)}
+                       for q3, c in zip(q3_values, stat.coeffs)],
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -308,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "bell/ghz/config initial states)")
     p.add_argument("--s", type=float, default=0.0, help="pumping weight")
     p.add_argument("--ctilde", type=float, default=0.5,
-                   help="dephasing ratio (1/2 = none)")
+                   help="dephasing ratio (1/2 = none; below 1/2 the "
+                   "generator is not completely positive, so entropy can "
+                   "fail on a negative eigenvalue)")
     p.add_argument("--initial", required=True,
                    help="bell | ghz | dicke:<q3> | config:<a>,<b>,<g>,<d>. "
                    "dicke:<q3> is the generalized basis state under the "

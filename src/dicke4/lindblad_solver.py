@@ -7,20 +7,25 @@ In the sector basis the master equation reads
 
 with tau = B t, pumping weight s in [0, 1] and ctilde = C/B (ctilde = 1/2
 switches the pure-dephasing term off).  Q+- only move q3 within a (q, sigma3)
-block, and the dephasing term is diagonal with eigenvalue
-(1-2 ctilde)(Z/2 - q), so propagation is exact:
+block and everything else is diagonal, so the generator acts slab by slab.
+Slab q is the contiguous (n+1) x (m+1) array of coefficients with n = 2q and
+m = Z - n, rows indexed by the number of d factors (q3 descending) and
+columns by sigma3.  On it the generator is that of n independent sites
+carrying the populations u, d, plus the constant -ctilde m of the m
+coherence factors, so propagation is exact:
 
-  * the damping/pumping part exponentiates in closed form as a product of
-    three exponentials, exp(a Q+) exp(b Q3) exp(c Q-), whose scalar
-    coefficients follow from the su(2) composition law of the block algebra;
-  * each ladder exponential is a finite series (Q+- are nilpotent on a
-    block, degree <= Z), evaluated by sparse ladder walks;
-  * the dephasing factor is a per-block scalar.
+    slab(tau) = M_n(tau) @ slab(0) * e^(-ctilde m tau)
 
-The propagator carries two equivalent factorization orderings; the ordering
-whose denominator 1 - (weight)*f(tau) stays away from zero is selected
-automatically (the Q- -first form degenerates as s -> 1, the Q+ -first form
-as s -> 0).
+M_n[j, i] is the probability that i d factors become j when every site
+follows the one-site column-stochastic map (columns u, d; f = 1 - e^(-tau))
+
+    G(tau) = [[1 - (1-s) f,   s f    ],
+              [(1-s) f,       1 - s f]],
+
+i.e. M_n is the n-fold symmetric power of G, built by appending one site at
+a time.  Every entry of every factor lies in [0, 1], so nothing overflows at
+any Z or tau.  The paper's factorized form e^(-Z tau/2) exp(a Q+) exp(b Q3)
+exp(c Q-) is an LDU factorization of the same map.
 """
 
 from __future__ import annotations
@@ -33,15 +38,20 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .symmetric_sector import SymmetricVector, basis, config_from_qn, qnum
-
-ORDERINGS = ("minus_first", "plus_first")
+from .symmetric_sector import (SymmetricVector, basis, config_from_qn, qnum,
+                               sector_dimension)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model configuration: site count, pumping weight, dephasing strength."""
+    """Model configuration: site count, pumping weight, dephasing strength.
+
+    ctilde < 1/2 is accepted, but there the generator is not completely
+    positive: trajectories keep unit trace yet can leave the physical
+    states, so the entropy read-out can fail on a negative eigenvalue.
+    """
     z: int
     s: float
     ctilde: float = 0.5
@@ -55,59 +65,10 @@ class ModelParams:
             raise ValueError(f"dephasing ratio ctilde={self.ctilde} must be >= 0")
 
 
-@dataclass(frozen=True)
-class BchCoefficients:
-    """Scalar coefficients of the two factorized propagator orderings.
-
-    minus_first: P(tau) = e^(-Z tau/2) exp(a Q+) exp(b Q3) exp(c Q-) P(0)
-    plus_first:  P(tau) = e^(-Z tau/2) exp(d Q-) exp(e Q3) exp(f_coeff Q+) P(0)
-    f_tau = 1 - e^(-tau).
-    """
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f_coeff: float
-    f_tau: float
-
-
-def _check_domain(s: float, tau: float) -> float:
+def _check_domain(tau: float) -> float:
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau={tau} must be finite and >= 0")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"pumping weight s={s} outside [0, 1]")
     return -math.expm1(-tau)
-
-
-def _triple(weight: float, f: float, tau: float):
-    """One ordering's (raising, diagonal, lowering) coefficients:
-
-    ( wf/(1-wf), -tau - 2 log(1-wf), (1-w)f/(1-wf) )
-
-    The denominator reaches zero only when wf rounds to 1, i.e. in the
-    tau -> inf limit at an extreme weight, where these coefficients
-    genuinely diverge; the complementary ordering stays regular there.
-    """
-    den = 1.0 - weight * f
-    if den <= 0.0:
-        raise ValueError(
-            f"factorization coefficients diverge (weight {weight} with "
-            f"f(tau)={f}); use the complementary ordering")
-    return weight * f / den, -tau - 2.0 * math.log(den), (1.0 - weight) * f / den
-
-
-def bch_coefficients(s: float, tau: float) -> BchCoefficients:
-    """Closed-form factorization coefficients at pumping weight s, time tau.
-
-    Raises the limit-domain error if either triple degenerates; propagation
-    avoids that by computing only the triple its ordering needs.
-    """
-    f = _check_domain(s, tau)
-    a, b, c = _triple(s, f, tau)
-    d, neg_e, f_coeff = _triple(1.0 - s, f, tau)
-    return BchCoefficients(a=a, b=b, c=c, d=d, e=-neg_e,
-                           f_coeff=f_coeff, f_tau=f)
 
 
 @lru_cache(maxsize=None)
@@ -148,74 +109,38 @@ def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
     return (sp.diags(diag) + (1.0 - p.s) * qm + p.s * qp).tocsr()
 
 
-def _exp_ladder(mat: sp.csr_matrix, coeff: float, vec: np.ndarray, z: int) -> np.ndarray:
-    """exp(coeff * mat) @ vec by the finite nilpotent series (<= Z+1 terms)."""
-    out = vec.copy()
-    if coeff == 0.0:
-        return out
-    term = vec
-    for k in range(1, z + 2):
-        term = mat @ term
-        term = term * (coeff / k)
-        if not term.any():
-            break
-        out += term
-    return out
-
-
-def select_ordering(s: float) -> str:
-    """Factorization whose denominator stays >= 1/2 for all tau."""
-    return "minus_first" if s <= 0.5 else "plus_first"
-
-
-def propagate_bch(v: SymmetricVector, p: ModelParams, tau: float,
-                  ordering: str | None = None) -> SymmetricVector:
-    """Exact damping/pumping propagation by the factorized exponentials.
-
-    Covers the ctilde = 1/2 generator; for other ctilde compose with
-    `apply_dephasing_factor` (the two parts commute), as `evolve` does.
-    """
+def propagate_bch(v: SymmetricVector, p: ModelParams, tau: float) -> SymmetricVector:
+    """Exact propagation over time tau: each slab is multiplied by the
+    symmetric power M_n of the one-site map and by e^(-ctilde m tau)."""
     if v.z != p.z:
         raise ValueError(f"state has z={v.z}, params have z={p.z}")
-    if ordering is None:
-        ordering = select_ordering(p.s)
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    f = _check_domain(p.s, tau)
-    b = basis(p.z)
-    qp, qm = ladder_matrices(p.z)
-    w = np.array(v.coeffs, dtype=complex if np.iscomplexobj(v.coeffs) else float)
-    if ordering == "minus_first":
-        up, diag, down = _triple(p.s, f, tau)
-        w = _exp_ladder(qm, down, w, p.z)
-        w = w * np.exp(diag * b.q3_values)
-        w = _exp_ladder(qp, up, w, p.z)
-    else:
-        down, neg_diag, up = _triple(1.0 - p.s, f, tau)
-        w = _exp_ladder(qp, up, w, p.z)
-        w = w * np.exp(-neg_diag * b.q3_values)
-        w = _exp_ladder(qm, down, w, p.z)
-    w *= math.exp(-0.5 * p.z * tau)
-    return SymmetricVector(p.z, w)
+    f = _check_domain(tau)
+    decay, pump = (1.0 - p.s) * f, p.s * f
+    w = v.coeffs
+    out = np.empty(w.shape, dtype=np.result_type(w.dtype, float))
+    mat = np.ones((1, 1))
+    end = len(w)                 # slabs are stored by descending n
+    for n in range(p.z + 1):
+        if n:
+            # Append one site: it holds u in columns 0..n-1 and d in the
+            # all-d column n.
+            grown = np.zeros((n + 1, n + 1))
+            grown[:-1, :-1] = (1.0 - decay) * mat
+            grown[1:, :-1] += decay * mat
+            grown[:-1, -1] = pump * mat[:, -1]
+            grown[1:, -1] += (1.0 - pump) * mat[:, -1]
+            mat = grown
+        m = p.z - n
+        start = end - (n + 1) * (m + 1)
+        slab = w[start:end].reshape(n + 1, m + 1)
+        out[start:end] = (mat @ slab).ravel() * math.exp(-p.ctilde * m * tau)
+        end = start
+    return SymmetricVector(p.z, out)
 
 
-def apply_dephasing_factor(v: SymmetricVector, ctilde: float, tau: float) -> SymmetricVector:
-    """Pure-dephasing part: each block picks up e^((1-2 ctilde)(Z/2-q) tau).
-
-    Generalized Dicke states (q = Z/2) are untouched for every ctilde.
-    """
-    b = basis(v.z)
-    factor = np.exp((1.0 - 2.0 * ctilde) * (0.5 * v.z - b.q_values) * tau)
-    return SymmetricVector(v.z, v.coeffs * factor)
-
-
-def evolve(v: SymmetricVector, p: ModelParams, tau: float,
-           ordering: str | None = None) -> SymmetricVector:
-    """Full propagation: factorized damping/pumping plus dephasing factor."""
-    out = propagate_bch(v, p, tau, ordering)
-    if p.ctilde != 0.5:
-        out = apply_dephasing_factor(out, p.ctilde, tau)
-    return out
+def evolve(v: SymmetricVector, p: ModelParams, tau: float) -> SymmetricVector:
+    """Full propagation: damping, pumping and dephasing."""
+    return propagate_bch(v, p, tau)
 
 
 def propagate_decay_closed_form(qn, z: int, tau: float) -> SymmetricVector:
@@ -237,33 +162,35 @@ def propagate_decay_closed_form(qn, z: int, tau: float) -> SymmetricVector:
 
 
 def dicke_block_matrix(p: ModelParams) -> np.ndarray:
-    """Generator restricted to the leading q = Z/2 block (Z+1 states)."""
-    n = p.z + 1
-    return liouvillian_matrix(p)[:n, :n].toarray()
+    """Generator on the leading q = Z/2 block (Z+1 states), in closed form.
+
+    Row and column k = Z/2 - q3 count the d factors: Q+ takes k to k-1 with
+    weight s k, Q- takes k to k+1 with weight (1-s)(Z-k).
+    """
+    k = np.arange(p.z + 1.0)
+    return (np.diag(-0.5 * p.z - (1.0 - 2.0 * p.s) * (0.5 * p.z - k))
+            + np.diag(p.s * k[1:], 1) + np.diag((1.0 - p.s) * (p.z - k[:-1]), -1))
 
 
 def spectrum(p: ModelParams):
     """Eigenvalues of the q = Z/2 block (descending) and the stationary state.
 
-    The eigenvalues come out as 0, -1, ..., -Z; the null eigenvector,
-    normalized to unit trace, carries the binomial weights
+    The eigenvalues are 0, -1, ..., -Z.  The block is tridiagonal with
+    non-negative off-diagonals, so a diagonal similarity makes it symmetric
+    with off-diagonal sqrt(upper * lower) and the eigenvalues come out real.
+    The stationary state solves the block equations with the last one
+    replaced by unit trace; it carries the binomial weights
     C(Z, Z/2+q3) s^(Z/2+q3) (1-s)^(Z/2-q3).
     """
     block = dicke_block_matrix(p)
-    vals, vecs = np.linalg.eig(block)
-    if np.abs(vals.imag).max(initial=0.0) > 1e-9:
-        raise ArithmeticError(f"block eigenvalues not real: {vals}")
-    vals = vals.real
-    order = np.argsort(-vals)
-    vals = vals[order]
-    vecs = vecs[:, order].real
-    stat = vecs[:, 0]
-    total = stat.sum()       # trace: the block states all have unit trace
-    if abs(total) < 1e-12:
-        raise ArithmeticError("stationary eigenvector has zero trace")
-    full = np.zeros(basis(p.z).dimension)
-    full[:p.z + 1] = stat / total
-    return vals, SymmetricVector(p.z, full)
+    vals = eigvalsh_tridiagonal(np.diag(block),
+                                np.sqrt(np.diag(block, 1) * np.diag(block, -1)))
+    block[-1] = 1.0          # trace row: the block states all have unit trace
+    unit = np.zeros(p.z + 1)
+    unit[-1] = 1.0
+    full = np.zeros(sector_dimension(p.z))
+    full[:p.z + 1] = np.linalg.solve(block, unit)
+    return vals[::-1], SymmetricVector(p.z, full)
 
 
 def block_eigenmodes(p: ModelParams):

@@ -211,12 +211,6 @@ def validate_word(word: str) -> None:
         raise ValueError(f"not a factor word: {word!r}")
 
 
-def word_sum(word: str, weight=1) -> dict:
-    """Operator sum holding a single word."""
-    validate_word(word)
-    return {word: Fraction(weight)}
-
-
 def clean(t: dict) -> dict:
     """Drop zero-weight words."""
     return {w: coeff for w, coeff in t.items() if coeff}
@@ -231,15 +225,6 @@ def add_into(acc: dict, t: dict, scalar=1) -> dict:
 
 def scale(t: dict, scalar) -> dict:
     return {w: scalar * coeff for w, coeff in t.items()}
-
-
-def single_site_action(op: str, factor: str) -> dict:
-    """Image of a single factor under one superoperator at Z=1."""
-    hit = SINGLE_SITE[op].get(factor)
-    if hit is None:
-        return {}
-    coeff, rep = hit
-    return {rep: Fraction(coeff)}
 
 
 def apply_superoperator(op: str, t) -> dict:

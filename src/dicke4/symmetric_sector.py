@@ -237,11 +237,11 @@ class SymmetricVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        b = basis(self.z)
+        dim = sector_dimension(self.z)
         arr = np.asarray(self.coeffs)
-        if arr.shape != (b.dimension,):
+        if arr.shape != (dim,):
             raise ValueError(
-                f"coefficient vector has shape {arr.shape}, expected ({b.dimension},)")
+                f"coefficient vector has shape {arr.shape}, expected ({dim},)")
         self.coeffs = arr
 
     @classmethod

@@ -18,8 +18,8 @@ import numpy as np
 from . import dense_oracle as do
 from . import su4_algebra as su
 from . import symmetric_sector as ss
-from .lindblad_solver import (ModelParams, apply_dephasing_factor, evolve,
-                              liouvillian_matrix, propagate_bch,
+from .lindblad_solver import (ModelParams, evolve, liouvillian_matrix,
+                              propagate_bch,
                               propagate_decay_closed_form, spectrum,
                               truncated_dicke_propagate)
 from .observables import (atomic_inversion, bell_initial,
@@ -286,8 +286,9 @@ def _random_vector(z: int, rng: random.Random) -> SymmetricVector:
 def check_bch_vs_oracle(z_values=(2, 3), s_values=(0.0, 0.3, 0.5, 0.9),
                         tau_values=(0.1, 0.5, 1.0, 2.0, 5.0),
                         tol=1e-8, seed=5) -> CheckResult:
-    """Factorized-exponential propagation embedded densely vs brute-force
-    integration of the full master equation."""
+    """Slab propagation (each q-slab times the symmetric power of the
+    one-site map) embedded densely vs brute-force integration of the full
+    master equation."""
     rng = random.Random(seed)
     t0 = time.perf_counter()
     worst = 0.0
@@ -338,7 +339,7 @@ def check_dephasing_vs_oracle(s_values=(0.0, 0.3), ctilde_values=(0.0, 0.8, 2.0)
 
 def check_decay_closed_form(z_values=(1, 2, 3, 4), tau_values=(0.0, 0.3, 1.0, 4.0),
                             tol=1e-12) -> CheckResult:
-    """Pure-decay closed form vs the factorized propagator at s=0, every
+    """Pure-decay closed form vs the slab propagator at s=0, every
     basis state."""
     for z in z_values:
         p = ModelParams(z=z, s=0.0)

@@ -82,6 +82,15 @@ def test_spectrum_json_payload(capsys):
         assert weights[q3] == pytest.approx(expect, abs=1e-10)
 
 
+
+def test_spectrum_at_sixty_sites(capsys):
+    code, out, _ = run(capsys, "spectrum", "--z", "60", "--s", "0.3")
+    assert code == 0
+    payload = json.loads(out)
+    assert np.abs(np.array(payload["eigenvalues"]) + np.arange(61)).max() <= 1e-9
+    assert sum(row["coeff"] for row in payload["stationary"]) == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- propagate
 
 def test_propagate_bell_csv(capsys):
@@ -96,6 +105,20 @@ def test_propagate_bell_csv(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[1]) == pytest.approx(1.0, abs=1e-10)
+
+
+
+def test_propagate_long_horizon_at_sixty_sites(capsys):
+    code, out, _ = run(capsys, "propagate", "--initial", "dicke:30", "--z", "60",
+                       "--s", "0.4", "--tau-max", "40", "--steps", "5")
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert rows.shape == (5, 3) and np.all(np.isfinite(rows))
+    assert np.abs(rows[:, 1] - 1.0).max() <= 1e-12
+    # independent sites: inversion relaxes to Z (s - 1/2) at rate 1
+    want = 60 * (0.4 - 0.5) + (30 - 60 * (0.4 - 0.5)) * np.exp(-rows[:, 0])
+    assert np.abs(rows[:, 2] - want).max() <= 1e-9
 
 
 def test_propagate_output_is_byte_stable(capsys):

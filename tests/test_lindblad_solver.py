@@ -1,4 +1,4 @@
-"""Factorized propagator, block spectra, closed forms, collective model."""
+"""Slab propagator, block spectra, closed forms, collective model."""
 
 import math
 import random
@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from dicke4 import lindblad_solver as ls
-from dicke4.symmetric_sector import SymmetricVector, basis, qnum
+from dicke4.symmetric_sector import SymmetricVector, basis, qnum, sector_dimension
 
 taus_moderate = st.floats(min_value=0.0, max_value=5.0,
                           allow_nan=False, allow_infinity=False)
@@ -38,86 +39,48 @@ def test_model_params_validation():
         ls.ModelParams(z=2, s=0.5, ctilde=float("inf"))
 
 
-def test_select_ordering_switches_at_half():
-    assert ls.select_ordering(0.0) == "minus_first"
-    assert ls.select_ordering(0.5) == "minus_first"
-    assert ls.select_ordering(0.51) == "plus_first"
-    assert ls.select_ordering(1.0) == "plus_first"
+# ------------------------------------------------------------- propagation
+
+def test_bch_zero_time_is_identity():
+    v = random_vector(3, random.Random(31))
+    for s in (0.0, 0.7, 1.0):
+        for ct in (0.0, 0.5, 2.0):
+            out = ls.propagate_bch(v, ls.ModelParams(z=3, s=s, ctilde=ct), 0.0)
+            assert np.array_equal(out.coeffs, v.coeffs)
 
 
-# ----------------------------------------------------- scalar coefficients
-
-def test_bch_coefficients_pure_decay():
-    tau = 0.8
-    f = -math.expm1(-tau)
-    co = ls.bch_coefficients(0.0, tau)
-    assert co.a == 0.0
-    assert co.b == pytest.approx(-tau, abs=1e-15)
-    assert co.c == pytest.approx(f, abs=1e-15)
-    assert co.f_coeff == 0.0
-    assert co.e == pytest.approx(-tau, abs=1e-15)
-    assert co.d == pytest.approx(f * math.exp(tau), rel=1e-13)
-    assert co.f_tau == f
-
-
-def test_bch_coefficients_balanced_at_log_two():
-    co = ls.bch_coefficients(0.5, math.log(2.0))
-    assert co.f_tau == pytest.approx(0.5, abs=1e-15)
-    assert co.a == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert co.c == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert co.b == pytest.approx(math.log(8.0 / 9.0), abs=1e-15)
-    assert co.d == co.a and co.f_coeff == co.c
-    assert co.e == pytest.approx(math.log(9.0 / 8.0), abs=1e-15)
+def test_bch_domain_validation():
+    v = SymmetricVector.from_components(2, {(1, 1, 0): 1.0})
+    p = ls.ModelParams(z=2, s=0.5)
+    for tau in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ls.propagate_bch(v, p, tau)
 
 
 @given(s_interior, st.floats(min_value=0.0, max_value=8.0))
 @settings(max_examples=200, deadline=None)
 def test_bch_mirror_symmetry(s, tau):
-    # swapping s -> 1-s swaps the roles of the two orderings
-    left = ls.bch_coefficients(s, tau)
-    right = ls.bch_coefficients(1.0 - s, tau)
-    assert left.a == pytest.approx(right.d, rel=1e-13, abs=1e-15)
-    assert left.b == pytest.approx(-right.e, rel=1e-13, abs=1e-15)
-    assert left.c == pytest.approx(right.f_coeff, rel=1e-13, abs=1e-15)
-
-
-def test_bch_zero_time_is_identity():
-    co = ls.bch_coefficients(0.7, 0.0)
-    assert (co.a, co.b, co.c, co.d, co.e, co.f_coeff, co.f_tau) == (
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def test_bch_domain_validation():
-    with pytest.raises(ValueError):
-        ls.bch_coefficients(0.5, -0.1)
-    with pytest.raises(ValueError):
-        ls.bch_coefficients(1.2, 1.0)
-    with pytest.raises(ValueError):
-        ls.bch_coefficients(0.5, float("nan"))
-
-
-def test_bch_limit_domain_degeneration():
-    # at extreme weight and large tau one denominator rounds to zero; the
-    # combined-coefficient call must refuse rather than return inf
-    with pytest.raises(ValueError):
-        ls.bch_coefficients(1.0, 40.0)
-    with pytest.raises(ValueError):
-        ls.bch_coefficients(0.0, 40.0)
-    # moderate times stay fine at the extremes
-    ls.bch_coefficients(0.0, 30.0)
-    ls.bch_coefficients(1.0, 30.0)
+    # swapping u <-> d exchanges damping and pumping: flipping q3 in every
+    # slab maps the s-propagator onto the (1-s)-propagator
+    b = basis(3)
+    flip = np.array([b.index[qnum(q, -q3, s3)] for q, q3, s3 in b.states])
+    v = random_vector(3, random.Random(int(tau * 100) + 7))
+    left = ls.propagate_bch(v, ls.ModelParams(z=3, s=s, ctilde=0.8), tau).coeffs
+    right = ls.propagate_bch(SymmetricVector(3, v.coeffs[flip]),
+                             ls.ModelParams(z=3, s=1.0 - s, ctilde=0.8), tau).coeffs
+    assert np.abs(left - right[flip]).max() <= 1e-13 * max(1.0, np.abs(left).max())
 
 
 def test_propagation_survives_where_combined_coefficients_degenerate():
+    # at s = 0 and s = 1 with large tau one pivot 1 - w f of the
+    # three-exponential form rounds to zero; the slab propagator does not
     v = SymmetricVector.from_components(2, {(1, 1, 0): 1.0})
-    p = ls.ModelParams(z=2, s=0.0)
-    out = ls.propagate_bch(v, p, 40.0)          # auto-selected ordering
+    out = ls.propagate_bch(v, ls.ModelParams(z=2, s=0.0), 40.0)
     assert out.coeffs[basis(2).index[qnum(1, -1, 0)]] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ls.propagate_bch(v, p, 40.0, ordering="plus_first")
+    v = SymmetricVector.from_components(2, {(1, -1, 0): 1.0})
+    out = ls.propagate_bch(v, ls.ModelParams(z=2, s=1.0), 40.0)
+    assert out.coeffs[basis(2).index[qnum(1, 1, 0)]] == pytest.approx(1.0, abs=1e-12)
 
-
-# ------------------------------------------------------------- propagation
 
 def test_ladder_matrices_entries():
     qp, qm = ls.ladder_matrices(2)
@@ -129,17 +92,34 @@ def test_ladder_matrices_entries():
     assert qp[:, i_top].nnz == 0       # annihilated at the block edge
 
 
+def _three_exponentials(v, p, tau, minus_first):
+    """The paper's factorized propagator at ctilde = 1/2, by dense expm:
+    e^(-Z tau/2) exp(a Q+) exp(b Q3) exp(c Q-) with pivot 1 - s f(tau), or
+    the mirror ordering exp(d Q-) exp(e Q3) exp(g Q+) with pivot
+    1 - (1-s) f(tau)."""
+    qp, qm = (m.toarray() for m in ls.ladder_matrices(p.z))
+    weight, first, last, sign = ((p.s, qm, qp, 1.0) if minus_first
+                                 else (1.0 - p.s, qp, qm, -1.0))
+    f = -math.expm1(-tau)
+    pivot = 1.0 - weight * f
+    w = expm((1.0 - weight) * f / pivot * first) @ v.coeffs
+    w = w * np.exp(sign * (-tau - 2.0 * math.log(pivot)) * basis(p.z).q3_values)
+    return math.exp(-0.5 * p.z * tau) * (expm(weight * f / pivot * last) @ w)
+
+
 @pytest.mark.parametrize("z", [1, 2, 3, 4, 5])
 def test_orderings_agree(z):
+    # both orderings of the paper's factorization reproduce the propagator
     rng = random.Random(40 + z)
     v = random_vector(z, rng)
     for s in (0.1, 0.5, 0.9):
         p = ls.ModelParams(z=z, s=s)
         for tau in (0.3, 1.0, 3.0):
-            w1 = ls.propagate_bch(v, p, tau, ordering="minus_first").coeffs
-            w2 = ls.propagate_bch(v, p, tau, ordering="plus_first").coeffs
-            scale = max(1.0, np.abs(w1).max())
-            assert np.abs(w1 - w2).max() <= 1e-12 * scale, (z, s, tau)
+            got = ls.propagate_bch(v, p, tau).coeffs
+            scale = max(1.0, np.abs(got).max())
+            for minus_first in (True, False):
+                ref = _three_exponentials(v, p, tau, minus_first)
+                assert np.abs(got - ref).max() <= 1e-12 * scale, (z, s, tau, minus_first)
 
 
 @given(s_interior, taus_moderate, taus_moderate)
@@ -154,18 +134,19 @@ def test_semigroup_property(s, tau1, tau2):
 
 
 def test_propagator_matches_matrix_exponential():
-    # full-generator cross-check on the sector matrix, all blocks at once
-    rng = random.Random(47)
-    z = 4
-    v = random_vector(z, rng)
-    for s in (0.0, 0.3, 0.8):
-        for ct in (0.5, 1.4):
-            p = ls.ModelParams(z=z, s=s, ctilde=ct)
-            lv = ls.liouvillian_matrix(p)
-            for tau in (0.2, 1.0, 4.0):
-                expected = expm_multiply(lv * tau, v.coeffs.astype(float))
-                got = ls.evolve(v, p, tau).coeffs
-                assert np.abs(got - expected).max() <= 1e-8, (s, ct, tau)
+    # full-generator cross-check on the sector matrix, all slabs at once
+    for z in (4, 20):
+        rng = random.Random(47 + z)
+        v = random_vector(z, rng)
+        for s in (0.0, 0.3, 0.8, 1.0):
+            for ct in (0.0, 0.5, 1.4):
+                p = ls.ModelParams(z=z, s=s, ctilde=ct)
+                lv = ls.liouvillian_matrix(p)
+                for tau in (0.2, 1.0, 4.0):
+                    expected = expm_multiply(lv * tau, v.coeffs.astype(float))
+                    got = ls.evolve(v, p, tau).coeffs
+                    gap = np.abs(got - expected).max() / np.abs(expected).max()
+                    assert gap <= 1e-12, (z, s, ct, tau, gap)
 
 
 def test_trace_is_conserved_for_any_dephasing():
@@ -177,26 +158,60 @@ def test_trace_is_conserved_for_any_dephasing():
         assert ls.evolve(v, p, 3.0).trace() == pytest.approx(t0, abs=1e-10)
 
 
+def _unit_trace_vector(z, rng):
+    """Random sector vector whose leading (q = Z/2) slab is a probability
+    vector, so the trace is 1; built without the label tables."""
+    coeffs = rng.normal(size=sector_dimension(z))
+    lead = np.abs(coeffs[:z + 1])
+    coeffs[:z + 1] = lead / lead.sum()
+    return SymmetricVector(z, coeffs)
+
+
+@pytest.mark.parametrize("z", [30, 60, 100, 200])
+def test_large_z_stays_finite_with_unit_trace(z):
+    v = _unit_trace_vector(z, np.random.default_rng(z))
+    for s in (0.0, 0.3, 0.5, 0.7, 1.0):
+        for ct in (0.0, 0.5, 2.0):
+            p = ls.ModelParams(z=z, s=s, ctilde=ct)
+            for tau in (0.5, 40.0, 1e6):
+                out = ls.evolve(v, p, tau).coeffs
+                assert np.all(np.isfinite(out)), (s, ct, tau)
+                # the trace is the sum over the leading slab
+                assert abs(out[:z + 1].sum() - 1.0) <= 1e-12, (s, ct, tau)
+
+
+def test_long_time_limit_is_binomial():
+    z = 40
+    v = _unit_trace_vector(z, np.random.default_rng(3))
+    for s in (0.0, 0.3, 0.5, 1.0):
+        stationary = np.array([math.comb(z, k) * s ** (z - k) * (1 - s) ** k
+                               for k in range(z + 1)])
+        for ct in (0.5, 2.0):
+            for tau in (100.0, 1e6):
+                out = ls.evolve(v, ls.ModelParams(z=z, s=s, ctilde=ct), tau).coeffs
+                assert np.abs(out[:z + 1] - stationary).max() <= 1e-12
+                assert np.abs(out[z + 1:]).max() <= 1e-12
+
+
 def test_mismatched_sizes_rejected():
     v = SymmetricVector.from_components(2, {(1, 1, 0): 1.0})
     with pytest.raises(ValueError):
         ls.propagate_bch(v, ls.ModelParams(z=3, s=0.0), 1.0)
-    with pytest.raises(ValueError):
-        ls.propagate_bch(v, ls.ModelParams(z=2, s=0.0), 1.0, ordering="sideways")
 
 
 def test_dephasing_factor_properties():
+    # dephasing acts on the coherence factors only: the q = Z/2 slab is
+    # untouched and slab q gains e^(-(2 ctilde - 1)(Z/2 - q) tau)
     rng = random.Random(59)
     v = random_vector(3, rng)
-    p = ls.ModelParams(z=3, s=0.4)
-    tau, ct = 1.3, 1.8
-    # leading block untouched
-    deph = ls.apply_dephasing_factor(v, ct, tau)
-    assert np.array_equal(deph.coeffs[:4], v.coeffs[:4])
-    # commutes with the damping/pumping propagator
-    before = ls.propagate_bch(ls.apply_dephasing_factor(v, ct, tau), p, tau)
-    after = ls.apply_dephasing_factor(ls.propagate_bch(v, p, tau), ct, tau)
-    assert np.abs(before.coeffs - after.coeffs).max() <= 1e-12
+    q = basis(3).q_values
+    tau = 1.3
+    half = ls.evolve(v, ls.ModelParams(z=3, s=0.4), tau).coeffs
+    for ct in (0.0, 0.3, 1.8):
+        got = ls.evolve(v, ls.ModelParams(z=3, s=0.4, ctilde=ct), tau).coeffs
+        assert np.array_equal(got[:4], half[:4])
+        want = half * np.exp(-(2.0 * ct - 1.0) * (1.5 - q) * tau)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_decay_closed_form_matches_propagator():
@@ -244,13 +259,16 @@ def test_block_matrix_ignores_dephasing():
     a = ls.dicke_block_matrix(ls.ModelParams(z=4, s=0.3, ctilde=0.5))
     b = ls.dicke_block_matrix(ls.ModelParams(z=4, s=0.3, ctilde=2.0))
     assert np.array_equal(a, b)
+    # the closed form is the leading block of the sector generator
+    lv = ls.liouvillian_matrix(ls.ModelParams(z=4, s=0.3, ctilde=2.0))
+    assert np.array_equal(a, lv[:5, :5].toarray())
 
 
 def test_spectrum_is_integer_ladder():
-    for z in (1, 3, 6):
+    for z in (1, 3, 6, 40, 60, 100):
         for s in (0.0, 0.5, 0.9):
             vals, stat = ls.spectrum(ls.ModelParams(z=z, s=s))
-            assert np.abs(vals - (-np.arange(z + 1.0))).max() <= 1e-8
+            assert np.abs(vals - (-np.arange(z + 1.0))).max() <= 1e-9
             weights = stat.coeffs[: z + 1]
             expect = np.array([math.comb(z, k) * s ** (z - k) * (1 - s) ** k
                                for k in range(z + 1)])
