@@ -79,24 +79,12 @@ def ladder_matrices(z: int):
     (q -+ q3) P_{q,q3 +- 1,s3}.  Entries are the exact integer counts.
     """
     b = basis(z)
-    rows_p, cols_p, vals_p = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
-    for j, qn in enumerate(b.states):
-        q, q3, s3 = qn
-        up = q - q3          # = beta, coefficient of Q+
-        if up:
-            rows_p.append(b.index[qnum(q, q3 + 1, s3)])
-            cols_p.append(j)
-            vals_p.append(float(up))
-        down = q + q3        # = alpha, coefficient of Q-
-        if down:
-            rows_m.append(b.index[qnum(q, q3 - 1, s3)])
-            cols_m.append(j)
-            vals_m.append(float(down))
-    dim = b.dimension
-    qp = sp.csr_matrix((vals_p, (rows_p, cols_p)), shape=(dim, dim))
-    qm = sp.csr_matrix((vals_m, (rows_m, cols_m)), shape=(dim, dim))
-    return qp, qm
+    mats = []
+    for step in (1, -1):     # Q+ has weight q - q3 = beta, Q- has q + q3 = alpha
+        vals, rows, cols = zip(*[(float(q - step * q3), b.index[qnum(q, q3 + step, s3)], j)
+                                 for j, (q, q3, s3) in enumerate(b.states) if q != step * q3])
+        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, b.dimension)))
+    return tuple(mats)
 
 
 def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
@@ -195,26 +183,31 @@ def spectrum(p: ModelParams):
 
 def block_eigenmodes(p: ModelParams):
     """All (eigenvalue, mode) pairs of the q = Z/2 block, eigenvalues
-    descending.  The stationary mode is trace-normalized; decaying modes are
-    traceless and normalized to max-abs 1 with their first nonzero
-    coefficient positive."""
-    block = dicke_block_matrix(p)
-    vals, vecs = np.linalg.eig(block)
-    order = np.argsort(-vals.real)
-    dim_full = basis(p.z).dimension
+    descending, in closed form.
+
+    Mode k has eigenvalue exactly -k and coefficients [x^j] (s + (1-s) x)^(Z-k)
+    (1-x)^k (j = number of d factors): the symmetrized product of Z-k
+    stationary one-site modes (s, 1-s) and k decaying ones (1, -1), taken in
+    exact integers because the alternating terms cancel at large Z.  The
+    stationary mode is trace-normalized; decaying modes are traceless and
+    normalized to max-abs 1 with their first nonzero coefficient positive."""
+    s = Fraction(p.s)
+    stationary = [np.ones(1, dtype=object)]
+    for _ in range(p.z):
+        stationary.append(np.convolve(
+            stationary[-1], np.array([s.numerator, s.denominator - s.numerator], dtype=object)))
+    decaying = np.ones(1, dtype=object)
     modes = []
-    for rank, j in enumerate(order):
-        vec = vecs[:, j].real
-        if rank == 0:
-            vec = vec / vec.sum()
-        else:
-            vec = vec / np.abs(vec).max()
-            lead = vec[np.nonzero(np.abs(vec) > 1e-12)[0][0]]
-            if lead < 0:
-                vec = -vec
-        full = np.zeros(dim_full)
+    for k in range(p.z + 1):
+        exact = np.convolve(stationary[p.z - k], decaying)
+        decaying = np.convolve(decaying, np.array([1, -1], dtype=object))
+        scale = sum(exact) if k == 0 else max(abs(c) for c in exact)
+        vec = np.array([c / scale for c in exact])
+        if k and vec[np.nonzero(np.abs(vec) > 1e-12)[0][0]] < 0:
+            vec = -vec
+        full = np.zeros(sector_dimension(p.z))
         full[:p.z + 1] = vec
-        modes.append((float(vals[j].real), SymmetricVector(p.z, full)))
+        modes.append((float(-k), SymmetricVector(p.z, full)))
     return modes
 
 

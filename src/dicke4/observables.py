@@ -1,9 +1,9 @@
 """Physical read-outs and two entangled-state scenarios with exact weights.
 
 Read-outs: trace, atomic inversion <S3> = <Q3>, von Neumann entropy.  Only
-the unit-trace block (q = Z/2, sigma3 = 0) contributes to any trace, so the
-inversion is a weighted sum over that block alone; the entropy goes through
-dense reconstruction and is therefore capped by the oracle limit.
+the unit-trace block (q = Z/2, sigma3 = 0), the leading Z+1 slots, contributes
+to any trace, so the inversion is a weighted sum over those slots alone; the
+entropy goes through dense reconstruction and is capped by the oracle limit.
 
 Scenarios: the two-site Bell triplet (|10>+|01>)/sqrt(2) and the three-site
 GHZ state (|111>-|000>)/sqrt(2), both of which stay inside a handful of
@@ -19,13 +19,14 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .symmetric_sector import SymmetricVector, basis, qnum
+from .symmetric_sector import SymmetricVector, qnum
 
 
 def atomic_inversion(v: SymmetricVector) -> float:
-    """<S3> = sum of coeff * q3 over the trace-carrying components."""
-    b = basis(v.z)
-    return float(np.real(np.sum(v.coeffs * b.q3_values * b.trace_values)))
+    """<S3> = sum of coeff * q3 over the trace-carrying components, the
+    leading Z+1 slots, on which q3 = Z/2 - k."""
+    q3 = 0.5 * v.z - np.arange(v.z + 1)
+    return float(np.real(np.sum(v.coeffs[:v.z + 1] * q3)))
 
 
 def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:

@@ -16,6 +16,12 @@ The 18 superoperators close on this sector.  Ladder operators replace one
 factor by another, with coefficient equal to the count of the replaced
 factor; the "3" operators are diagonal.  Label arithmetic is exact
 (Fractions); floats appear only in dense embeddings and coefficient vectors.
+
+Coefficient vectors hold one (n+1) x (m+1) slab (rows beta, columns delta)
+per n = alpha + beta = Z - m, by descending n; the generalized Dicke states are
+the leading Z+1 slots.  Dense entry (r, c) belongs to the configuration with
+beta = #(r & c), delta = #(r & ~c), gamma = #(~r & c), so a cached slot map
+makes `to_dense` a gather and `extract_coefficients` a bincount.
 """
 
 from __future__ import annotations
@@ -93,6 +99,35 @@ def sector_dimension(z: int) -> int:
     return (z + 1) * (z + 2) * (z + 3) // 6
 
 
+def _slab_offset(z: int, n):
+    """First slot of slab n: the sizes (k+1)(Z-k+1) of the slabs k > n, summed."""
+    return sector_dimension(z) - (n + 1) * (n + 2) * (3 * z - 2 * n + 3) // 6
+
+
+def basis_slot(z: int, qn) -> int:
+    """Position of a label in the coefficient vector, in closed form; raises
+    ValueError on labels outside the sector."""
+    a, b, _, d = config_from_qn(z, qnum(*qn))
+    return _slab_offset(z, a + b) + b * (z - a - b + 1) + d
+
+
+@lru_cache(maxsize=None)
+def _dense_layout(z: int):
+    """Slot of every dense entry (r, c), in the smallest integer dtype, and
+    each slot's multiplicity; built row by row, with no wider 2^Z x 2^Z array."""
+    dim = 2 ** z
+    bits = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
+    pop = np.bitwise_count(bits).astype(int)
+    slots = np.empty((dim, dim), dtype=np.min_scalar_type(sector_dimension(z) - 1))
+    for r in range(dim):
+        beta = np.bitwise_count(bits & bits[r])
+        n = z - pop[r] - pop + 2 * beta
+        slots[r] = _slab_offset(z, n) + beta * (z + 1 - n) + pop[r] - beta
+    mult = np.bincount(slots.ravel(), minlength=sector_dimension(z)).astype(float)
+    slots.flags.writeable = mult.flags.writeable = False
+    return slots, mult
+
+
 # ladder superoperator -> (replaced factor, replacement factor)
 _REPLACEMENT = {
     "Q+": ("d", "u"), "Q-": ("u", "d"),
@@ -144,13 +179,8 @@ def enumerate_basis(z: int) -> tuple:
     """
     if z < 1:
         raise ValueError(f"need at least one site, got z={z}")
-    labels = []
-    for a in range(z + 1):
-        for b in range(z + 1 - a):
-            for g in range(z + 1 - a - b):
-                labels.append(qn_from_config(Config(a, b, g, z - a - b - g)))
-    labels.sort(key=lambda qn: (-qn.q, -qn.q3, -qn.sigma3))
-    return tuple(labels)
+    return tuple(qn_from_config(Config(n - b, b, z - n - d, d))
+                 for n in range(z, -1, -1) for b in range(n + 1) for d in range(z - n + 1))
 
 
 @dataclass(frozen=True)
@@ -159,10 +189,8 @@ class SymmetricBasis:
     z: int
     states: tuple
     index: dict
-    configs: tuple
     q_values: np.ndarray       # float q per basis slot
     q3_values: np.ndarray      # float q3 per basis slot
-    trace_values: np.ndarray   # 1.0 on generalized Dicke states, else 0.0
 
     @property
     def dimension(self) -> int:
@@ -172,15 +200,11 @@ class SymmetricBasis:
 @lru_cache(maxsize=None)
 def basis(z: int) -> SymmetricBasis:
     states = enumerate_basis(z)
-    configs = tuple(config_from_qn(z, qn) for qn in states)
     q = np.array([float(qn.q) for qn in states])
     q3 = np.array([float(qn.q3) for qn in states])
-    tr = np.array([1.0 if (c.gamma == 0 and c.delta == 0) else 0.0 for c in configs])
-    for arr in (q, q3, tr):
-        arr.flags.writeable = False
-    return SymmetricBasis(
-        z=z, states=states, index={qn: i for i, qn in enumerate(states)},
-        configs=configs, q_values=q, q3_values=q3, trace_values=tr)
+    q.flags.writeable = q3.flags.writeable = False
+    return SymmetricBasis(z=z, states=states, index={qn: i for i, qn in enumerate(states)},
+                          q_values=q, q3_values=q3)
 
 
 def _arrangements(cfg: Config):
@@ -209,7 +233,7 @@ def state_operator_sum(z: int, qn: QuantumNumbers) -> dict:
 
 def embed_dense(z: int, qn: QuantumNumbers) -> np.ndarray:
     """Dense 2^Z x 2^Z matrix of a basis state."""
-    return su4.to_dense(state_operator_sum(z, qn), z)
+    return SymmetricVector.from_components(z, {qn: 1.0}).to_dense()
 
 
 def permutation_defect(z: int, rho: np.ndarray) -> float:
@@ -218,15 +242,14 @@ def permutation_defect(z: int, rho: np.ndarray) -> float:
     dim = 2 ** z
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for z={z}")
-    idx = np.arange(dim)
+    # one axis per row bit, then one per column bit; site 1 is the leading axis
+    t = rho.reshape((2,) * (2 * z))
     worst = 0.0
-    for site in range(1, z):
-        hi, lo = z - site, z - site - 1   # bit positions of sites site, site+1
-        b_hi = (idx >> hi) & 1
-        b_lo = (idx >> lo) & 1
-        diff = b_hi ^ b_lo
-        perm = idx ^ ((diff << hi) | (diff << lo))
-        worst = max(worst, np.abs(rho - rho[np.ix_(perm, perm)]).max())
+    for site in range(z - 1):
+        axes = list(range(2 * z))
+        for a in (site, z + site):
+            axes[a], axes[a + 1] = a + 1, a
+        worst = max(worst, np.abs(t - t.transpose(axes)).max())
     return float(worst)
 
 
@@ -248,41 +271,28 @@ class SymmetricVector:
     def from_components(cls, z: int, components: dict) -> "SymmetricVector":
         """Build from a sparse {label: weight} mapping; labels may be any
         triple coercible to (q, q3, sigma3)."""
-        b = basis(z)
         weights = {qnum(*key): val for key, val in components.items()}
         dtype = complex if any(isinstance(v, complex) for v in weights.values()) else float
-        arr = np.zeros(b.dimension, dtype=dtype)
+        arr = np.zeros(sector_dimension(z), dtype=dtype)
         for qn, val in weights.items():
-            if qn not in b.index:
-                raise ValueError(f"label {tuple(qn)} is not in the z={z} sector")
-            arr[b.index[qn]] += val
+            arr[basis_slot(z, qn)] += val
         return cls(z, arr)
 
     def coeff(self, label) -> complex:
-        b = basis(self.z)
-        return self.coeffs[b.index[qnum(*label)]]
+        return self.coeffs[basis_slot(self.z, label)]
 
     def trace(self):
-        """Sector trace: sum of generalized-Dicke coefficients."""
-        return (self.coeffs * basis(self.z).trace_values).sum()
+        """Sector trace: sum of the leading Z+1 (generalized-Dicke) slots."""
+        return self.coeffs[:self.z + 1].sum()
 
     def to_dense(self) -> np.ndarray:
-        """Dense density-operator reconstruction (oracle-limit guarded)."""
-        b = basis(self.z)
-        dim = 2 ** self.z
+        """Dense reconstruction: entry (r, c) is coeff / multiplicity of its slot."""
         if self.z > su4.oracle_limit():
             raise ValueError(
                 f"z={self.z} exceeds the dense-space limit {su4.oracle_limit()} "
                 f"(override with {su4.ORACLE_LIMIT_ENV})")
-        out = np.zeros((dim, dim), dtype=complex)
-        for qn, cfg, w in zip(b.states, b.configs, self.coeffs):
-            if w == 0:
-                continue
-            scale = w / multiplicity(cfg)
-            for wrd in _arrangements(cfg):
-                r, c = su4.word_entry(wrd)
-                out[r, c] += scale
-        return out
+        slots, mult = _dense_layout(self.z)
+        return (self.coeffs / mult).astype(complex)[slots]
 
     def copy(self) -> "SymmetricVector":
         return SymmetricVector(self.z, self.coeffs.copy())
@@ -291,21 +301,15 @@ class SymmetricVector:
 def extract_coefficients(z: int, rho: np.ndarray, tol: float = 1e-10) -> SymmetricVector:
     """Expand a permutation-symmetric density operator over the sector basis.
 
-    Uses the dual pairing: the coefficient of a basis state equals M times
-    the trace against its sigma3-flipped dual, which reduces to summing
-    single matrix entries over the dual arrangements.
+    Uses the dual pairing: M times the trace against the sigma3-flipped dual
+    of a basis state is the sum of rho over that state's own entries.
     """
     defect = permutation_defect(z, rho)
     if defect > tol:
         raise ValueError(
             f"matrix is not permutation-symmetric (defect {defect:.3e} > {tol:.1e})")
-    b = basis(z)
-    out = np.zeros(b.dimension, dtype=complex)
-    for i, qn in enumerate(b.states):
-        dual_cfg = config_from_qn(z, dual_qn(qn))
-        total = 0.0 + 0.0j
-        for wrd in _arrangements(dual_cfg):
-            r, c = su4.word_entry(wrd)
-            total += rho[c, r]
-        out[i] = total
+    slots = _dense_layout(z)[0].ravel()
+    dim = sector_dimension(z)
+    out = (np.bincount(slots, weights=rho.real.ravel(), minlength=dim)
+           + 1j * np.bincount(slots, weights=rho.imag.ravel(), minlength=dim))
     return SymmetricVector(z, out)

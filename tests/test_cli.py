@@ -8,6 +8,7 @@ import pytest
 
 from dicke4 import cli
 from dicke4 import su4_algebra as su4
+from dicke4 import symmetric_sector as sec
 
 BASIS_Z2 = """\
 q,q3,sigma3,alpha,beta,gamma,delta,multiplicity,trace
@@ -119,6 +120,18 @@ def test_propagate_long_horizon_at_sixty_sites(capsys):
     # independent sites: inversion relaxes to Z (s - 1/2) at rate 1
     want = 60 * (0.4 - 0.5) + (30 - 60 * (0.4 - 0.5)) * np.exp(-rows[:, 0])
     assert np.abs(rows[:, 2] - want).max() <= 1e-9
+
+
+def test_propagate_at_two_hundred_sites_needs_no_label_table(capsys):
+    tables = sec.basis.cache_info().currsize
+    code, out, _ = run(capsys, "propagate", "--initial", "dicke:0", "--z", "200",
+                       "--steps", "3")
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert rows.shape == (3, 3)
+    assert np.abs(rows[:, 1] - 1.0).max() <= 1e-12
+    assert sec.basis.cache_info().currsize == tables
 
 
 def test_propagate_output_is_byte_stable(capsys):

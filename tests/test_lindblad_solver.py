@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from dicke4 import lindblad_solver as ls
+from dicke4.observables import atomic_inversion
 from dicke4.symmetric_sector import SymmetricVector, basis, qnum, sector_dimension
 
 taus_moderate = st.floats(min_value=0.0, max_value=5.0,
@@ -22,7 +23,7 @@ s_interior = st.floats(min_value=0.05, max_value=0.95,
 
 def random_vector(z, rng):
     return SymmetricVector(z, np.array(
-        [rng.gauss(0, 1) for _ in range(basis(z).dimension)]))
+        [rng.gauss(0, 1) for _ in range(sector_dimension(z))]))
 
 
 # -------------------------------------------------------------- parameters
@@ -122,15 +123,15 @@ def test_orderings_agree(z):
                 assert np.abs(got - ref).max() <= 1e-12 * scale, (z, s, tau, minus_first)
 
 
-@given(s_interior, taus_moderate, taus_moderate)
+@given(st.sampled_from([3, 20, 60]), s_interior, taus_moderate, taus_moderate)
 @settings(max_examples=60, deadline=None)
-def test_semigroup_property(s, tau1, tau2):
-    rng = random.Random(int(s * 1000) + 1)
-    v = random_vector(3, rng)
-    p = ls.ModelParams(z=3, s=s, ctilde=0.9)
+def test_semigroup_property(z, s, tau1, tau2):
+    rng = random.Random(int(s * 1000) + z)
+    v = random_vector(z, rng)
+    p = ls.ModelParams(z=z, s=s, ctilde=0.9)
     once = ls.evolve(v, p, tau1 + tau2)
     twice = ls.evolve(ls.evolve(v, p, tau1), p, tau2)
-    assert np.abs(once.coeffs - twice.coeffs).max() <= 1e-10
+    assert np.abs(once.coeffs - twice.coeffs).max() <= 1e-12 * np.abs(v.coeffs).max()
 
 
 def test_propagator_matches_matrix_exponential():
@@ -290,6 +291,25 @@ def test_block_eigenmodes_normalization():
         assert lead > 0
 
 
+@pytest.mark.parametrize("z", [3, 20, 40, 60])
+def test_block_eigenmodes_have_integer_eigenvalues(z):
+    modes = ls.block_eigenmodes(ls.ModelParams(z=z, s=0.3))
+    assert [lam for lam, _ in modes] == [float(-k) for k in range(z + 1)]
+
+
+@pytest.mark.parametrize("z", [20, 40, 60])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+def test_block_eigenmodes_solve_the_block(z, s):
+    p = ls.ModelParams(z=z, s=s)
+    block = ls.dicke_block_matrix(p)
+    norm = np.abs(block).sum(axis=1).max()
+    for lam, mode in ls.block_eigenmodes(p):
+        c = mode.coeffs[:z + 1]
+        residual = np.abs(block @ c - lam * c).max() / (norm * np.abs(c).max())
+        assert residual <= 1e-13, (lam, residual)
+        assert np.abs(mode.coeffs[z + 1:]).max() == 0.0
+
+
 # --------------------------------------------------------- collective model
 
 def test_collective_ladder_weights_two_sites():
@@ -314,11 +334,9 @@ def test_truncated_model_agrees_with_sector_for_one_site():
     m_diag = np.array([0.5, -0.5])
     v0 = SymmetricVector.from_components(z, {(Fraction(1, 2), Fraction(1, 2), 0): 1.0})
     p = ls.ModelParams(z=z, s=s)
-    b = basis(z)
     for rho, tau in zip(rhos, taus):
         collective = float(np.real(np.diag(rho) @ m_diag))
-        sector = float((ls.propagate_bch(v0, p, float(tau)).coeffs
-                        * b.q3_values * b.trace_values).sum())
+        sector = atomic_inversion(ls.propagate_bch(v0, p, float(tau)))
         assert collective == pytest.approx(sector, abs=1e-8)
 
 
@@ -331,9 +349,7 @@ def test_truncated_model_decays_faster_than_the_sector():
     m_diag = 0.5 * z - np.arange(z + 1)
     collective = float(np.real(np.diag(rho) @ m_diag))
     v0 = SymmetricVector.from_components(z, {(Fraction(3, 2), Fraction(3, 2), 0): 1.0})
-    b = basis(z)
-    sector = float((ls.propagate_bch(v0, ls.ModelParams(z=z, s=s), tau).coeffs
-                    * b.q3_values * b.trace_values).sum())
+    sector = atomic_inversion(ls.propagate_bch(v0, ls.ModelParams(z=z, s=s), tau))
     assert collective < sector - 0.05
 
 

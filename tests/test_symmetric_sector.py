@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +59,8 @@ def test_config_from_qn_rejects_foreign_labels():
 def test_multiplicities_tile_the_full_operator_space():
     # the 4^Z word space is exactly partitioned by the configurations
     for z in range(1, 7):
-        total = sum(sec.multiplicity(cfg) for cfg in sec.basis(z).configs)
+        total = sum(sec.multiplicity(sec.config_from_qn(z, qn))
+                    for qn in sec.enumerate_basis(z))
         assert total == 4 ** z
 
 
@@ -71,6 +73,16 @@ def test_basis_order_puts_the_dicke_block_first():
         assert [qn.q3 for qn in lead] == sorted(
             (qn.q3 for qn in lead), reverse=True)
         assert all(qn.q < half_z for qn in states[z + 1:])
+
+
+def test_basis_slot_is_the_enumeration_index():
+    for z in range(1, 9):
+        labels = sec.enumerate_basis(z)
+        assert list(labels) == sorted(labels, key=lambda qn: (-qn.q, -qn.q3, -qn.sigma3))
+        for i, qn in enumerate(labels):
+            assert sec.basis_slot(z, qn) == i, (z, qn)
+    with pytest.raises(ValueError):
+        sec.basis_slot(2, (2, 0, 0))
 
 
 def test_dual_label_flips_sigma3_only():
@@ -137,7 +149,8 @@ def test_qtilde_eigenvalue_is_q():
 
 def test_embedded_states_have_unit_or_zero_trace():
     for z in (1, 2, 3):
-        for qn, cfg in zip(sec.basis(z).states, sec.basis(z).configs):
+        for qn in sec.enumerate_basis(z):
+            cfg = sec.config_from_qn(z, qn)
             tr = np.trace(sec.embed_dense(z, qn))
             want = 1.0 if cfg.gamma == 0 and cfg.delta == 0 else 0.0
             assert abs(tr - want) <= 1e-14
@@ -157,11 +170,53 @@ def test_biorthogonality_pairing():
         b = sec.basis(z)
         for i, qn_i in enumerate(b.states):
             left = sec.state_operator_sum(z, sec.dual_qn(qn_i))
-            mult = sec.multiplicity(b.configs[i])
+            mult = sec.multiplicity(sec.config_from_qn(z, qn_i))
             for j, qn_j in enumerate(b.states):
                 right = sec.state_operator_sum(z, qn_j)
                 val = mult * tr_prod(left, right)
                 assert val == (1 if i == j else 0), (qn_i, qn_j)
+
+
+@pytest.mark.parametrize("z", range(1, 7))
+def test_dense_boundary_equals_word_route(z):
+    """Slot-map gather against the literal word expansion, bit for bit."""
+    dim = sec.sector_dimension(z)
+    for i, qn in enumerate(sec.enumerate_basis(z)):
+        words = su4.to_dense(sec.state_operator_sum(z, qn), z)
+        assert np.array_equal(sec.embed_dense(z, qn), words), qn
+        unit = np.zeros(dim)
+        unit[i] = 1.0
+        assert np.array_equal(sec.SymmetricVector(z, unit).to_dense(), words), qn
+
+
+@pytest.mark.parametrize("z", range(1, 7))
+def test_extract_equals_dual_arrangement_sum(z):
+    """Bincount over the slot map against the per-arrangement dual sum."""
+    rng = np.random.default_rng(z)
+    dim = sec.sector_dimension(z)
+    v = sec.SymmetricVector(z, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    rho = v.to_dense()
+    expect = np.zeros(dim, dtype=complex)
+    for i, qn in enumerate(sec.enumerate_basis(z)):
+        for wrd in sec._arrangements(sec.config_from_qn(z, sec.dual_qn(qn))):
+            r, c = su4.word_entry(wrd)
+            expect[i] += rho[c, r]
+    got = sec.extract_coefficients(z, rho).coeffs
+    assert np.abs(got - expect).max() <= 1e-13
+    assert np.abs(got - v.coeffs).max() <= 1e-13
+
+
+def test_dense_round_trip_at_ten_sites_is_fast():
+    z = 10
+    rng = np.random.default_rng(10)
+    v = sec.SymmetricVector(z, rng.normal(size=sec.sector_dimension(z)))
+    t0 = time.perf_counter()
+    rho = v.to_dense()
+    t1 = time.perf_counter()
+    back = sec.extract_coefficients(z, rho)
+    t2 = time.perf_counter()
+    assert np.abs(back.coeffs - v.coeffs).max() <= 1e-12
+    assert t1 - t0 < 1.0 and t2 - t1 < 1.0, (t1 - t0, t2 - t1)
 
 
 def test_extract_inverts_embed():
@@ -236,6 +291,8 @@ def test_vector_trace_counts_only_dicke_states():
 def test_from_components_rejects_foreign_label():
     with pytest.raises(ValueError):
         sec.SymmetricVector.from_components(2, {(2, 0, 0): 1.0})
+    with pytest.raises(ValueError):
+        sec.SymmetricVector(2, np.zeros(10)).coeff((1, 2, 0))
 
 
 def test_vector_shape_validation():
