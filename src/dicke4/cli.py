@@ -193,13 +193,11 @@ def _grid(tau_max: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, tau_max, steps)
 
 
-def cmd_propagate(args) -> int:
-    kind, payload, z = _parse_initial(args.initial, args.z)
-    names = _parse_observables(args.observables)
-    taus = _grid(args.tau_max, args.steps)
+def _trajectory(args, kind, payload, z, names, taus):
+    """The chosen model's states along the grid and a {name: read-out} table
+    to apply to each.  The two dense models differ only in where their
+    states come from and in the diagonal of S3."""
     limit = su.oracle_limit()
-
-    cols = {name: [] for name in names}
     if args.model == "symmetric":
         if "entropy" in names and z > limit:
             raise ValueError(
@@ -207,47 +205,39 @@ def cmd_propagate(args) -> int:
                 f"oracle limit {limit} (set DICKE4_ORACLE_LIMIT to raise it)")
         v0 = _symmetric_initial(kind, payload, z)
         p = ModelParams(z=z, s=args.s, ctilde=args.ctilde)
-        for tau in taus:
-            v = evolve(v0, p, float(tau))
-            for name in names:
-                if name == "trace":
-                    cols[name].append(v.trace())
-                elif name == "inversion":
-                    cols[name].append(atomic_inversion(v))
-                else:
-                    cols[name].append(von_neumann_entropy(v))
-    elif args.model == "dicke-truncated":
+        return ((evolve(v0, p, float(tau)) for tau in taus),
+                {"trace": SymmetricVector.trace, "inversion": atomic_inversion,
+                 "entropy": von_neumann_entropy})
+    if args.model == "dicke-truncated":
         if args.ctilde != 0.5:
             raise ValueError("the collective model carries no dephasing term; "
                              "use --ctilde 0.5")
         rho0 = _collective_initial(kind, payload, z)
-        rhos = truncated_dicke_propagate(z, args.s, rho0, taus)
-        m_diag = 0.5 * z - np.arange(z + 1)
-        for rho in rhos:
-            for name in names:
-                if name == "trace":
-                    cols[name].append(float(np.real(np.trace(rho))))
-                elif name == "inversion":
-                    cols[name].append(float(np.real(np.diag(rho) @ m_diag)))
-                else:
-                    cols[name].append(matrix_entropy(rho))
+        states = truncated_dicke_propagate(z, args.s, rho0, taus)
+        s3_diag = 0.5 * z - np.arange(z + 1)
     else:
         if z > limit:
             raise ValueError(
                 f"dense-oracle model at z={z} exceeds the oracle limit {limit} "
                 "(set DICKE4_ORACLE_LIMIT to raise it)")
         rho0 = _dense_initial(kind, payload, z)
+        states = (do.dense_propagate(z, args.s, rho0, float(tau), ctilde=args.ctilde)
+                  for tau in taus)
         s3_diag = do.collective_s3_diag(z)
-        for tau in taus:
-            rho = do.dense_propagate(z, args.s, rho0, float(tau),
-                                     ctilde=args.ctilde)
-            for name in names:
-                if name == "trace":
-                    cols[name].append(float(np.real(np.trace(rho))))
-                elif name == "inversion":
-                    cols[name].append(float(np.real(np.diag(rho) @ s3_diag)))
-                else:
-                    cols[name].append(matrix_entropy(rho))
+    return states, {"trace": lambda rho: float(np.real(np.trace(rho))),
+                    "inversion": lambda rho: float(np.real(np.diag(rho) @ s3_diag)),
+                    "entropy": matrix_entropy}
+
+
+def cmd_propagate(args) -> int:
+    kind, payload, z = _parse_initial(args.initial, args.z)
+    names = _parse_observables(args.observables)
+    taus = _grid(args.tau_max, args.steps)
+    states, readouts = _trajectory(args, kind, payload, z, names, taus)
+    cols = {name: [] for name in names}
+    for state in states:
+        for name in names:
+            cols[name].append(readouts[name](state))
 
     series = ObservableSeries(tuple(taus), {n: tuple(cols[n]) for n in names})
     if args.format == "json":

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from .su4_algebra import ORACLE_LIMIT_ENV, oracle_limit
@@ -141,9 +140,6 @@ def liouvillian_sparse(z: int, s: float, ctilde: float = 0.5) -> sp.csr_matrix:
     return lv.tocsr()
 
 
-_EXPM_MAX_Z = 6   # beyond this the vectorized exponential is integrated instead
-
-
 def dense_propagate(z: int, s: float, rho0: np.ndarray, tau: float,
                     ctilde: float = 0.5) -> np.ndarray:
     """Evolve a dense matrix to time tau (B=1 units)."""
@@ -154,17 +150,7 @@ def dense_propagate(z: int, s: float, rho0: np.ndarray, tau: float,
     if tau == 0.0:
         return rho0.astype(complex, copy=True)
     lv = liouvillian_sparse(z, float(s), float(ctilde))
-    v0 = rho0.astype(complex).reshape(-1)
-    if z <= _EXPM_MAX_Z:
-        vt = expm_multiply(lv * tau, v0)
-    else:
-        sol = solve_ivp(lambda _t, y: lv @ y, (0.0, tau), v0,
-                        method="RK45", rtol=1e-10, atol=1e-12,
-                        t_eval=[tau])
-        if not sol.success:
-            raise RuntimeError(f"dense integration failed: {sol.message}")
-        vt = sol.y[:, -1]
-    return vt.reshape(dim, dim)
+    return expm_multiply(lv * tau, rho0.astype(complex).reshape(-1)).reshape(dim, dim)
 
 
 def dicke_state_dense(z: int, s3) -> np.ndarray:

@@ -143,8 +143,7 @@ def propagate_decay_closed_form(qn, z: int, tau: float) -> SymmetricVector:
     comps = {}
     for k in range(n_down + 1):
         weight = (math.comb(n_down, k) * f ** k
-                  * math.exp(-tau * float(qn.q3 - k))
-                  * math.exp(-0.5 * z * tau))
+                  * math.exp(-tau * float(Fraction(z, 2) + qn.q3 - k)))
         comps[qnum(qn.q, qn.q3 - k, qn.sigma3)] = weight
     return SymmetricVector.from_components(z, comps)
 

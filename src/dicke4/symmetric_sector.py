@@ -236,21 +236,26 @@ def embed_dense(z: int, qn: QuantumNumbers) -> np.ndarray:
     return SymmetricVector.from_components(z, {qn: 1.0}).to_dense()
 
 
-def permutation_defect(z: int, rho: np.ndarray) -> float:
-    """Largest entrywise deviation of rho from invariance under adjacent
-    site swaps (which generate all permutations)."""
+def _slot_sums_and_defect(z: int, rho: np.ndarray):
+    """Sums of rho over each slot, and the largest entrywise deviation of rho
+    from its slot average.  The slots are the S_Z orbits of dense entries, so
+    the deviation is 0 exactly when rho is permutation-symmetric."""
     dim = 2 ** z
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for z={z}")
-    # one axis per row bit, then one per column bit; site 1 is the leading axis
-    t = rho.reshape((2,) * (2 * z))
-    worst = 0.0
-    for site in range(z - 1):
-        axes = list(range(2 * z))
-        for a in (site, z + site):
-            axes[a], axes[a + 1] = a + 1, a
-        worst = max(worst, np.abs(t - t.transpose(axes)).max())
-    return float(worst)
+    slots, mult = _dense_layout(z)
+    flat = slots.ravel()
+    sums = (np.bincount(flat, weights=rho.real.ravel(), minlength=len(mult))
+            + 1j * np.bincount(flat, weights=rho.imag.ravel(), minlength=len(mult)))
+    resid = (sums / mult)[slots]
+    resid -= rho
+    return sums, float(np.abs(resid, out=resid).real.max())
+
+
+def permutation_defect(z: int, rho: np.ndarray) -> float:
+    """Largest entrywise deviation of rho from invariance under site
+    permutations, measured against its average over each orbit."""
+    return _slot_sums_and_defect(z, rho)[1]
 
 
 @dataclass
@@ -298,18 +303,17 @@ class SymmetricVector:
         return SymmetricVector(self.z, self.coeffs.copy())
 
 
-def extract_coefficients(z: int, rho: np.ndarray, tol: float = 1e-10) -> SymmetricVector:
+_SYMMETRY_TOL = 1e-10
+
+
+def extract_coefficients(z: int, rho: np.ndarray) -> SymmetricVector:
     """Expand a permutation-symmetric density operator over the sector basis.
 
     Uses the dual pairing: M times the trace against the sigma3-flipped dual
     of a basis state is the sum of rho over that state's own entries.
     """
-    defect = permutation_defect(z, rho)
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not permutation-symmetric (defect {defect:.3e} > {tol:.1e})")
-    slots = _dense_layout(z)[0].ravel()
-    dim = sector_dimension(z)
-    out = (np.bincount(slots, weights=rho.real.ravel(), minlength=dim)
-           + 1j * np.bincount(slots, weights=rho.imag.ravel(), minlength=dim))
-    return SymmetricVector(z, out)
+    sums, defect = _slot_sums_and_defect(z, rho)
+    if defect > _SYMMETRY_TOL:
+        raise ValueError(f"matrix is not permutation-symmetric "
+                         f"(defect {defect:.3e} > {_SYMMETRY_TOL:.1e})")
+    return SymmetricVector(z, sums)

@@ -287,8 +287,8 @@ def check_bch_vs_oracle(z_values=(2, 3), s_values=(0.0, 0.3, 0.5, 0.9),
                         tau_values=(0.1, 0.5, 1.0, 2.0, 5.0),
                         tol=1e-8, seed=5) -> CheckResult:
     """Slab propagation (each q-slab times the symmetric power of the
-    one-site map) embedded densely vs brute-force integration of the full
-    master equation."""
+    one-site map) embedded densely vs the brute-force exponential of the
+    full master equation."""
     rng = random.Random(seed)
     t0 = time.perf_counter()
     worst = 0.0

@@ -154,14 +154,25 @@ def test_propagate_json_payload(capsys):
     assert payload["values"]["trace"] == pytest.approx([1.0] * 3, abs=1e-12)
 
 
-def test_propagate_models_agree_on_inversion(capsys):
-    # same decay scenario through the sector solver and the dense oracle
-    shared = ("--initial", "dicke:1", "--z", "2", "--s", "0.2",
-              "--tau-max", "2", "--steps", "5", "--format", "json")
-    _, sym, _ = run(capsys, "propagate", *shared, "--model", "symmetric")
-    _, dense, _ = run(capsys, "propagate", *shared, "--model", "dense-oracle")
-    a = json.loads(sym)["values"]["inversion"]
-    b = json.loads(dense)["values"]["inversion"]
+@pytest.mark.parametrize("start", [("bell",), ("ghz",), ("dicke:1/2", "--z", "3"),
+                                   ("config:1,0,1,1",)],
+                         ids=["bell", "ghz", "dicke", "config"])
+@pytest.mark.parametrize("observable", cli.OBSERVABLE_NAMES)
+def test_propagate_models_agree_on_every_readout(capsys, start, observable):
+    # the same scenario through the sector solver and the dense oracle; the
+    # traceless config start has negative eigenvalues, so both models must
+    # refuse its entropy the same way
+    shared = ("--initial", *start, "--s", "0.2", "--ctilde", "0.8",
+              "--tau-max", "2", "--steps", "5", "--format", "json",
+              "--observables", observable)
+    sym, dense = (run(capsys, "propagate", *shared, "--model", model)
+                  for model in ("symmetric", "dense-oracle"))
+    assert (sym[0], sym[2]) == (dense[0], dense[2])
+    if sym[0]:
+        assert start == ("config:1,0,1,1",) and observable == "entropy"
+        return
+    a = json.loads(sym[1])["values"][observable]
+    b = json.loads(dense[1])["values"][observable]
     assert np.abs(np.array(a) - b).max() <= 1e-8
 
 

@@ -10,6 +10,7 @@ import pytest
 from dicke4 import dense_oracle as do
 from dicke4 import su4_algebra as su4
 from dicke4 import symmetric_sector as sec
+from dicke4.lindblad_solver import ModelParams, evolve
 
 
 def random_hermitian(rng, dim):
@@ -101,6 +102,15 @@ def test_dense_propagate_preserves_permutation_symmetry():
     for tau in (0.5, 2.0):
         rho = do.dense_propagate(z, 0.6, rho0, tau)
         assert sec.permutation_defect(z, rho) <= 1e-10
+
+
+def test_dense_propagate_matches_sector_at_seven_sites():
+    z, tau = 7, 1.5
+    v0 = sec.SymmetricVector(z, np.random.default_rng(7).standard_normal(
+        sec.sector_dimension(z)))
+    p = ModelParams(z=z, s=0.3, ctilde=0.9)
+    rho = do.dense_propagate(z, p.s, v0.to_dense(), tau, ctilde=p.ctilde)
+    assert np.abs(rho - evolve(v0, p, tau).to_dense()).max() <= 1e-12
 
 
 def test_dense_propagate_stationary_state():

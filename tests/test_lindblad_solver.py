@@ -226,6 +226,17 @@ def test_decay_closed_form_matches_propagator():
                 assert np.abs(closed.coeffs - direct.coeffs).max() <= 1e-12
 
 
+@pytest.mark.parametrize("q3", [30, 0, -30])
+def test_decay_closed_form_at_long_times(q3):
+    z, tau = 60, 40.0
+    qn = qnum(30, q3, 0)
+    closed = ls.propagate_decay_closed_form(qn, z, tau).coeffs
+    direct = ls.evolve(SymmetricVector.from_components(z, {qn: 1.0}),
+                       ls.ModelParams(z=z, s=0.0), tau).coeffs
+    assert np.isfinite(closed).all()
+    assert np.abs(closed - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_decay_asymptotics():
     # s=0: everything in a (q, sigma3) block slides to the bottom rung,
     # damped by the block's sigma value through the overall envelope

@@ -249,6 +249,20 @@ def test_permutation_defect_detects_broken_symmetry():
         sec.permutation_defect(2, sym)
 
 
+@pytest.mark.parametrize("r, c", [(1, 1), (1, 2), (3, 5), (0, 6)])
+def test_permutation_defect_of_one_perturbed_entry(r, c):
+    # the orbit of (r, c) has M entries; moving one by eps moves their average
+    # by eps/M, so the perturbed entry sits eps (1 - 1/M) away from it
+    z, eps = 3, 1e-3
+    rho = sec.SymmetricVector(z, np.random.default_rng(4).standard_normal(
+        sec.sector_dimension(z))).to_dense()
+    slots, mult = sec._dense_layout(z)
+    m = mult[slots[r, c]]
+    assert m >= 2
+    rho[r, c] += eps
+    assert sec.permutation_defect(z, rho) == pytest.approx(eps * (1.0 - 1.0 / m), rel=1e-9)
+
+
 def test_extract_bell_triplet_components():
     psi = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)   # (|10> + |01>)/sqrt2
     v = sec.extract_coefficients(2, np.outer(psi, psi))
