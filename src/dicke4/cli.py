@@ -79,7 +79,8 @@ def _parse_initial(text: str, z: int | None):
             q3 = Fraction(text[len("dicke:"):])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r}: {exc}") from None
-        config_from_qn(z, qnum(Fraction(z, 2), q3, 0))  # range check
+        if abs(q3) > Fraction(z, 2) or (q3 + Fraction(z, 2)).denominator != 1:
+            raise ValueError(f"q3={q3} is not a spin projection of z={z} sites")
         return "dicke", q3, z
     if text.startswith("config:"):
         parts = text[len("config:"):].split(",")

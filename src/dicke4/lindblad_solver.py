@@ -37,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from .symmetric_sector import (SymmetricVector, basis, config_from_qn, qnum,
                                sector_dimension)
@@ -221,16 +220,19 @@ def collective_ladder_weights(z: int):
 
 
 def truncated_dicke_propagate(z: int, s: float, initial, taus):
-    """Numerically integrate the collective (spin-Z/2 truncated) model.
+    """Exact propagation of the collective (spin-Z/2 truncated) model.
 
     The density matrix lives on the (Z+1)^2 Dicke basis |Z/2,M><Z/2,M'|,
     rows/columns indexed by k with M = Z/2 - k.  `initial` is either an
     (M, M') label pair or a (Z+1)x(Z+1) matrix.  Returns the propagated
     matrix at each requested tau (stacked when `taus` is a sequence).
 
-    Integrates dP/dtau = -(1-s)/2 [S+S- P + P S+S- - 2 S- P S+]
-                         -  s/2   [S-S+ P + P S-S+ - 2 S+ P S-]
-    with RK45 at rtol 1e-10.
+    dP/dtau = -(1-s)/2 [S+S- P + P S+S- - 2 S- P S+]
+              -  s/2   [S-S+ P + P S-S+ - 2 S+ P S-]
+    moves k and k' together, so each diagonal d = k' - k of P is an
+    independent band with a tridiagonal generator.  Bands that start at
+    zero stay zero; the others step along the sorted taus by the exact
+    exponential of each distinct step length.
     """
     if z < 1:
         raise ValueError(f"need at least one site, got z={z}")
@@ -253,27 +255,22 @@ def truncated_dicke_propagate(z: int, s: float, initial, taus):
     gain_down = (1.0 - s) * np.sqrt(np.outer(lam_minus, lam_minus))
     gain_up = s * np.sqrt(np.outer(lam_plus, lam_plus))
 
-    def rhs(_t, y):
-        rho = y.reshape(n, n)
-        out = loss * rho
-        out[1:, 1:] += gain_down[:-1, :-1] * rho[:-1, :-1]
-        out[:-1, :-1] += gain_up[1:, 1:] * rho[1:, 1:]
-        return out.reshape(-1)
-
-    scalar = np.isscalar(taus)
     t_eval = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(t_eval < 0):
-        raise ValueError("tau values must be >= 0")
+    if not np.all(np.isfinite(t_eval) & (t_eval >= 0)):
+        raise ValueError("tau values must be finite and >= 0")
     order = np.argsort(t_eval)
-    t_sorted = t_eval[order]
-    out = np.empty((len(t_eval), n, n), dtype=complex)
-    nonzero = t_sorted > 0
-    if nonzero.any():
-        sol = solve_ivp(rhs, (0.0, float(t_sorted[-1])), rho0.reshape(-1),
-                        method="RK45", rtol=1e-10, atol=1e-12,
-                        t_eval=t_sorted[nonzero])
-        if not sol.success:
-            raise RuntimeError(f"collective-model integration failed: {sol.message}")
-        out[order[nonzero]] = sol.y.T.reshape(-1, n, n)
-    out[order[~nonzero]] = rho0
-    return out[0] if scalar else out
+    lengths, step = np.unique(np.diff(t_eval[order], prepend=0.0),
+                              return_inverse=True)
+    out = np.zeros((len(t_eval), n, n), dtype=complex)
+    for d in range(-z, n):          # band d holds the entries P[k, k + d]
+        band = np.diagonal(rho0, d)
+        if not band.any():
+            continue
+        gen = (np.diag(np.diagonal(loss, d)) + np.diag(np.diagonal(gain_down, d)[:-1], -1)
+               + np.diag(np.diagonal(gain_up, d)[1:], 1))
+        props = expm(lengths[:, None, None] * gen)
+        states = np.empty((len(t_eval), len(band)), dtype=complex)
+        for j, i in enumerate(step):
+            states[j] = band = props[i] @ band
+        out[(order[:, None], *np.nonzero(np.eye(n, k=d)))] = states
+    return out[0] if np.isscalar(taus) else out

@@ -245,10 +245,11 @@ def _slot_sums_and_defect(z: int, rho: np.ndarray):
         raise ValueError(f"expected a {dim}x{dim} matrix for z={z}")
     slots, mult = _dense_layout(z)
     flat = slots.ravel()
-    sums = (np.bincount(flat, weights=rho.real.ravel(), minlength=len(mult))
-            + 1j * np.bincount(flat, weights=rho.imag.ravel(), minlength=len(mult)))
-    resid = (sums / mult)[slots]
-    resid -= rho
+    with np.errstate(invalid="ignore"):      # inf entries read as a NaN defect
+        sums = (np.bincount(flat, weights=rho.real.ravel(), minlength=len(mult))
+                + 1j * np.bincount(flat, weights=rho.imag.ravel(), minlength=len(mult)))
+        resid = (sums / mult)[slots]
+        resid -= rho
     return sums, float(np.abs(resid, out=resid).real.max())
 
 
@@ -313,7 +314,8 @@ def extract_coefficients(z: int, rho: np.ndarray) -> SymmetricVector:
     of a basis state is the sum of rho over that state's own entries.
     """
     sums, defect = _slot_sums_and_defect(z, rho)
-    if defect > _SYMMETRY_TOL:
-        raise ValueError(f"matrix is not permutation-symmetric "
+    if not defect <= _SYMMETRY_TOL:      # a NaN defect fails this test too
+        raise ValueError("matrix has non-finite entries" if math.isnan(defect) else
+                         f"matrix is not permutation-symmetric "
                          f"(defect {defect:.3e} > {_SYMMETRY_TOL:.1e})")
     return SymmetricVector(z, sums)

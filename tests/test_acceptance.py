@@ -188,7 +188,7 @@ def test_criterion_08_leading_block_spectrum():
 def test_criterion_09_inversion_decay_formulas():
     """Per-site inversion closed forms at s = 0 to 1e-10; the spin-Z/2
     truncated model follows its own, visibly faster, Z = 2 decay law to
-    1e-8."""
+    1e-12."""
     taus = [0.25 * k for k in range(25)]
 
     z = 4
@@ -205,7 +205,7 @@ def test_criterion_09_inversion_decay_formulas():
     m_diag = np.array([1.0, 0.0, -1.0])
     collective = np.einsum("tii,i->t", rhos, m_diag).real / 2.0
     expect = (1.0 + np.array(taus)) * np.exp(-2.0 * np.array(taus)) - 0.5
-    assert np.abs(collective - expect).max() <= 1e-8
+    assert np.abs(collective - expect).max() <= 1e-12
 
     # the collective decay undershoots the independent-site law well before
     # both settle to -1/2

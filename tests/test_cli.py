@@ -186,7 +186,17 @@ def test_propagate_truncated_model(capsys):
     # collective decay from the top rung: <S3> = 2(1+tau)e^(-2 tau) - 1
     expect = [2.0 * (1.0 + t) * math.exp(-2.0 * t) - 1.0
               for t in (0.0, 0.5, 1.0)]
-    assert np.abs(np.array(got) - expect).max() <= 1e-8
+    assert np.abs(np.array(got) - expect).max() <= 1e-12
+
+
+def test_propagate_truncated_model_at_sixty_sites(capsys):
+    code, out, _ = run(capsys, "propagate", "--initial", "dicke:30", "--z", "60",
+                       "--model", "dicke-truncated")
+    assert code == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert rows.shape == (200, 3) and np.all(np.isfinite(rows))
+    assert np.abs(rows[:, 1] - 1.0).max() <= 1e-12
 
 
 def test_propagate_entropy_through_the_dense_model(capsys):
@@ -220,6 +230,13 @@ def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("q3, z", [("1", "11"), ("7", "4")])
+def test_dicke_label_error_names_the_projection(capsys, q3, z):
+    code, out, err = run(capsys, "propagate", "--initial", f"dicke:{q3}", "--z", z)
+    assert (code, out) == (2, "")
+    assert err == f"error: q3={q3} is not a spin projection of z={z} sites\n"
 
 
 def test_argparse_errors_exit_two(capsys):

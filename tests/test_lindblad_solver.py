@@ -1,13 +1,18 @@
 """Slab propagator, block spectra, closed forms, collective model."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -333,7 +338,7 @@ def test_truncated_model_conserves_trace():
     rhos = ls.truncated_dicke_propagate(3, 0.4, (Fraction(3, 2), Fraction(3, 2)),
                                         np.linspace(0.0, 6.0, 7))
     traces = np.einsum("tii->t", rhos).real
-    assert np.abs(traces - 1.0).max() <= 1e-9
+    assert np.abs(traces - 1.0).max() <= 1e-12
 
 
 def test_truncated_model_agrees_with_sector_for_one_site():
@@ -348,7 +353,7 @@ def test_truncated_model_agrees_with_sector_for_one_site():
     for rho, tau in zip(rhos, taus):
         collective = float(np.real(np.diag(rho) @ m_diag))
         sector = atomic_inversion(ls.propagate_bch(v0, p, float(tau)))
-        assert collective == pytest.approx(sector, abs=1e-8)
+        assert collective == pytest.approx(sector, abs=1e-12)
 
 
 def test_truncated_model_decays_faster_than_the_sector():
@@ -372,7 +377,7 @@ def test_truncated_decay_formula_two_sites():
     m_diag = np.array([1.0, 0.0, -1.0])
     got = np.einsum("tii,i->t", rhos, m_diag).real / 2.0
     expect = (1.0 + taus) * np.exp(-2.0 * taus) - 0.5
-    assert np.abs(got - expect).max() <= 1e-8
+    assert np.abs(got - expect).max() <= 1e-12
 
 
 def test_truncated_model_scalar_tau_and_matrix_initial():
@@ -389,7 +394,75 @@ def test_truncated_model_rejects_bad_input():
         ls.truncated_dicke_propagate(2, 0.0, (2, 0), 1.0)       # M outside spin 1
     with pytest.raises(ValueError):
         ls.truncated_dicke_propagate(2, 0.0, (Fraction(1, 2), 0), 1.0)
-    with pytest.raises(ValueError):
-        ls.truncated_dicke_propagate(2, 0.0, (1, 1), [-1.0])
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ls.truncated_dicke_propagate(2, 0.0, (1, 1), [1.0, bad])
     with pytest.raises(ValueError):
         ls.truncated_dicke_propagate(2, 0.0, np.eye(4), 1.0)
+
+
+def collective_generator(z, s):
+    """Sparse generator of the collective model on row-major vec(P), built
+    from the S+- matrices: L P L^T = kron(L, L) vec(P) for real L."""
+    m = 0.5 * z - np.arange(1, z + 1)          # M of the states S+ raises
+    s_plus = sparse.diags(np.sqrt((0.5 * z - m) * (0.5 * z + m + 1.0)), 1)
+    eye = sparse.identity(z + 1)
+
+    def dissipator(jump, rate):
+        jj = (jump.T @ jump).tocsr()
+        return rate * (sparse.kron(jump, jump) - 0.5 * sparse.kron(jj, eye)
+                       - 0.5 * sparse.kron(eye, jj.T))
+
+    return (dissipator(s_plus.T, 1.0 - s) + dissipator(s_plus, s)).tocsr()
+
+
+def random_density(z, rng):
+    a = rng.normal(size=(z + 1, z + 1)) + 1j * rng.normal(size=(z + 1, z + 1))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("z", range(1, 9))
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+def test_truncated_model_equals_full_generator_exponential(z, s):
+    rng = np.random.default_rng(10 * z + int(10 * s))
+    rho0 = random_density(z, rng)
+    taus = np.array([2.0, 0.5, 0.5, 0.0, 3.7, 1.1, 2.0])     # unsorted, repeated
+    gen = collective_generator(z, s).toarray()
+    got = ls.truncated_dicke_propagate(z, s, rho0, taus)
+    for tau, rho in zip(taus, got):
+        want = (expm(tau * gen) @ rho0.reshape(-1)).reshape(z + 1, z + 1)
+        assert np.abs(rho - want).max() <= 1e-12, tau
+
+
+@pytest.mark.parametrize("z", [20, 60])
+def test_truncated_model_equals_per_tau_band_exponential(z):
+    # the 200-point grid of `dicke4 propagate`; four occupied bands, each
+    # propagated at every tau by the exponential of its block of the full
+    # generator
+    taus = np.linspace(0.0, 10.0, 200)
+    rho0 = np.zeros((z + 1, z + 1), dtype=complex)
+    full = random_density(z, np.random.default_rng(z))
+    for d in (-1, 0, 1):
+        rho0 += np.diag(np.diagonal(full, d), d)
+    rho0[0, z] = rho0[z, 0] = 0.01
+    got = ls.truncated_dicke_propagate(z, 0.3, rho0, taus)
+    gen = collective_generator(z, 0.3)
+    for d in (-z, -1, 0, 1):
+        rows, cols = np.nonzero(np.eye(z + 1, k=d))
+        idx = rows * (z + 1) + cols
+        block = gen[idx][:, idx].toarray()
+        for tau, rho in zip(taus, got):
+            want = expm(tau * block) @ rho0[rows, cols]
+            assert np.abs(rho[rows, cols] - want).max() <= 1e-12, (d, tau)
+    assert np.abs(np.einsum("tii->t", got) - 1.0).max() <= 1e-12
+
+
+def test_package_import_loads_no_ode_solver():
+    src = str(Path(ls.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dicke4; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"

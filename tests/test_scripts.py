@@ -20,6 +20,7 @@ def load(name):
      "tau,entropy_s=0.0,entropy_s=0.25,entropy_s=0.5,entropy_s=0.75,entropy_s=1.0"),
     ("collective_vs_sector", ("--z", "2"), "tau,exact_z2,collective_z2,gap_z2"),
     ("ghz_decay_profile", (), "tau,c1,c2,c3,c4,c5,entropy"),
+    ("collective_vs_sector", ("--z", "60"), "tau,exact_z60,collective_z60,gap_z60"),
 ])
 def test_script_writes_its_csv(tmp_path, name, extra, header):
     out = tmp_path / f"{name}.csv"

@@ -238,6 +238,14 @@ def test_extract_rejects_asymmetric_matrices():
         sec.extract_coefficients(2, rho)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+def test_extract_rejects_non_finite_entries(bad):
+    rho = sec.embed_dense(2, sec.qnum(1, 1, 0))
+    rho[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sec.extract_coefficients(2, rho)
+
+
 def test_permutation_defect_detects_broken_symmetry():
     z = 3
     sym = sec.embed_dense(z, sec.qnum(Fraction(3, 2), Fraction(1, 2), 0))
