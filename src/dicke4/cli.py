@@ -23,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import dense_oracle as do
-from . import su4_algebra as su
 from . import verification
 from .lindblad_solver import ModelParams, evolve, spectrum, truncated_dicke_propagate
 from .observables import (ObservableSeries, atomic_inversion, bell_initial,
@@ -194,16 +193,11 @@ def _grid(tau_max: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, tau_max, steps)
 
 
-def _trajectory(args, kind, payload, z, names, taus):
+def _trajectory(args, kind, payload, z, taus):
     """The chosen model's states along the grid and a {name: read-out} table
     to apply to each.  The two dense models differ only in where their
     states come from and in the diagonal of S3."""
-    limit = su.oracle_limit()
     if args.model == "symmetric":
-        if "entropy" in names and z > limit:
-            raise ValueError(
-                f"entropy needs dense reconstruction, z={z} exceeds the "
-                f"oracle limit {limit} (set DICKE4_ORACLE_LIMIT to raise it)")
         v0 = _symmetric_initial(kind, payload, z)
         p = ModelParams(z=z, s=args.s, ctilde=args.ctilde)
         return ((evolve(v0, p, float(tau)) for tau in taus),
@@ -217,10 +211,6 @@ def _trajectory(args, kind, payload, z, names, taus):
         states = truncated_dicke_propagate(z, args.s, rho0, taus)
         s3_diag = 0.5 * z - np.arange(z + 1)
     else:
-        if z > limit:
-            raise ValueError(
-                f"dense-oracle model at z={z} exceeds the oracle limit {limit} "
-                "(set DICKE4_ORACLE_LIMIT to raise it)")
         rho0 = _dense_initial(kind, payload, z)
         states = (do.dense_propagate(z, args.s, rho0, float(tau), ctilde=args.ctilde)
                   for tau in taus)
@@ -234,7 +224,7 @@ def cmd_propagate(args) -> int:
     kind, payload, z = _parse_initial(args.initial, args.z)
     names = _parse_observables(args.observables)
     taus = _grid(args.tau_max, args.steps)
-    states, readouts = _trajectory(args, kind, payload, z, names, taus)
+    states, readouts = _trajectory(args, kind, payload, z, taus)
     cols = {name: [] for name in names}
     for state in states:
         for name in names:
@@ -262,9 +252,8 @@ def cmd_propagate(args) -> int:
 def cmd_verify(args) -> int:
     results = verification.run_all(z_max=args.z_max, seed=args.seed,
                                    words_per_z=args.words)
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail} ({r.seconds:.2f}s)"
+             for r in results]
     failed = [r for r in results if not r.passed]
     if failed:
         lines.append(f"{len(failed)} of {len(results)} checks FAILED")

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .su4_algebra import ORACLE_LIMIT_ENV, oracle_limit
+from .lindblad_solver import ModelParams, _check_domain
+from .su4_algebra import _check_dense_size
 
 # single-site matrices in the (|1>, |0>) basis
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -39,19 +40,10 @@ _SITE_MATS = {
 }
 
 
-def _check_limit(z: int) -> None:
-    if z < 1:
-        raise ValueError(f"need at least one site, got z={z}")
-    if z > oracle_limit():
-        raise ValueError(
-            f"z={z} exceeds the dense-space limit {oracle_limit()} "
-            f"(override with {ORACLE_LIMIT_ENV})")
-
-
 @lru_cache(maxsize=None)
 def site_operator(z: int, site: int, name: str) -> sp.csr_matrix:
     """Sparse single-site operator embedded at `site` (1-based, leftmost)."""
-    _check_limit(z)
+    _check_dense_size(z)
     if not 1 <= site <= z:
         raise ValueError(f"site {site} outside 1..{z}")
     op = sp.identity(1, format="csr")
@@ -75,7 +67,7 @@ _SANDWICH = {
 def superoperator_dense(name: str, z: int, rho: np.ndarray) -> np.ndarray:
     """Apply one of the 18 superoperators to a dense matrix, straight from
     the defining single-site sandwiches."""
-    _check_limit(z)
+    _check_dense_size(z)
     out = np.zeros_like(rho, dtype=complex)
     if name == "Q3":
         for i in range(1, z + 1):
@@ -97,7 +89,7 @@ def superoperator_dense(name: str, z: int, rho: np.ndarray) -> np.ndarray:
 
 def lindblad_apply(z: int, s: float, rho: np.ndarray, ctilde: float = 0.5) -> np.ndarray:
     """Right-hand side of the master equation on a dense matrix (B=1)."""
-    _check_limit(z)
+    _check_dense_size(z)
     out = np.zeros_like(rho, dtype=complex)
     for i in range(1, z + 1):
         spi = site_operator(z, i, "sp")
@@ -120,7 +112,7 @@ def _kron_lr(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def liouvillian_sparse(z: int, s: float, ctilde: float = 0.5) -> sp.csr_matrix:
     """Master-equation generator on row-major vectorized 2^Z x 2^Z matrices."""
-    _check_limit(z)
+    _check_dense_size(z)
     dim = 2 ** z
     eye = sp.identity(dim, format="csr")
     lv = sp.csr_matrix((dim * dim, dim * dim))
@@ -142,11 +134,15 @@ def liouvillian_sparse(z: int, s: float, ctilde: float = 0.5) -> sp.csr_matrix:
 
 def dense_propagate(z: int, s: float, rho0: np.ndarray, tau: float,
                     ctilde: float = 0.5) -> np.ndarray:
-    """Evolve a dense matrix to time tau (B=1 units)."""
-    _check_limit(z)
+    """Evolve a dense matrix to time tau (B=1 units).  The arguments are
+    validated as the sector solver's are (`ModelParams`, tau finite and
+    >= 0); the dynamics are built from Pauli matrices alone."""
+    ModelParams(z=z, s=s, ctilde=ctilde)
+    _check_dense_size(z)
     dim = 2 ** z
     if rho0.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for z={z}")
+    _check_domain(tau)
     if tau == 0.0:
         return rho0.astype(complex, copy=True)
     lv = liouvillian_sparse(z, float(s), float(ctilde))
@@ -156,7 +152,7 @@ def dense_propagate(z: int, s: float, rho0: np.ndarray, tau: float,
 def dicke_state_dense(z: int, s3) -> np.ndarray:
     """Dense ket of the Dicke state |Z/2, s3>: uniform superposition over
     all kets with Z/2 + s3 up spins."""
-    _check_limit(z)
+    _check_dense_size(z)
     val = Fraction(s3) + Fraction(z, 2)
     if val.denominator != 1 or not 0 <= val <= z:
         raise ValueError(f"s3={s3} is not a spin projection of z={z} sites")
@@ -172,6 +168,6 @@ def dicke_state_dense(z: int, s3) -> np.ndarray:
 
 def collective_s3_diag(z: int) -> np.ndarray:
     """Diagonal of S3 = (1/2) sum_i s3_i in the ket ordering."""
-    _check_limit(z)
+    _check_dense_size(z)
     dim = 2 ** z
     return np.array([z - 2 * bin(idx).count("1") for idx in range(dim)]) / 2.0

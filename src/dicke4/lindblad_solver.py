@@ -31,6 +31,7 @@ exp(c Q-) is an LDU factorization of the same map.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +57,7 @@ class ModelParams:
     ctilde: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.z, int) or self.z < 1:
+        if not isinstance(self.z, numbers.Integral) or self.z < 1:
             raise ValueError(f"need at least one site, got z={self.z}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"pumping weight s={self.s} outside [0, 1]")
@@ -137,7 +138,7 @@ def propagate_decay_closed_form(qn, z: int, tau: float) -> SymmetricVector:
     """
     qn = qnum(*qn)
     config_from_qn(z, qn)   # validates the label
-    f = -math.expm1(-tau)
+    f = _check_domain(tau)
     n_down = int(qn.q + qn.q3)
     comps = {}
     for k in range(n_down + 1):
@@ -234,8 +235,7 @@ def truncated_dicke_propagate(z: int, s: float, initial, taus):
     zero stay zero; the others step along the sorted taus by the exact
     exponential of each distinct step length.
     """
-    if z < 1:
-        raise ValueError(f"need at least one site, got z={z}")
+    ModelParams(z=z, s=s)   # validates z and s
     n = z + 1
     if isinstance(initial, np.ndarray):
         if initial.shape != (n, n):

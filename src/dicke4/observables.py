@@ -19,6 +19,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .lindblad_solver import ModelParams, _check_domain
 from .symmetric_sector import SymmetricVector, qnum
 
 
@@ -63,11 +64,8 @@ def bell_weights_reference(s: float, tau: float) -> Tuple[float, float, float, f
 
     b1 = s f (1-(1-s)f), b2 = 1 - f(1-2s(1-s)f), b3 = (1-s)f(1-sf), b4 = 1-f.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"pumping weight s={s} outside [0, 1]")
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau={tau} must be finite and >= 0")
-    f = -math.expm1(-tau)
+    ModelParams(z=2, s=s)   # validates s
+    f = _check_domain(tau)
     return (
         s * f * (1.0 - (1.0 - s) * f),
         1.0 - f * (1.0 - 2.0 * s * (1.0 - s) * f),
@@ -95,9 +93,7 @@ def ghz_weights_reference(tau: float) -> Tuple[float, float, float, float, float
     """GHZ pure-decay weights (c1..c5): c1..c4 on the q = 3/2 ladder
     (q3 = 3/2 down to -3/2) and c5 the magnitude of the two coherence
     components P_{0,0,+-3/2}, which enter with a minus sign."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau={tau} must be finite and >= 0")
-    f = -math.expm1(-tau)
+    f = _check_domain(tau)
     return (
         0.5 * math.exp(-3.0 * tau),
         1.5 * math.exp(-2.0 * tau) * f,

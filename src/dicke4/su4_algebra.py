@@ -206,6 +206,15 @@ def oracle_limit() -> int:
     return int(os.environ.get(ORACLE_LIMIT_ENV, _ORACLE_LIMIT_DEFAULT))
 
 
+def _check_dense_size(z: int) -> None:
+    """Refuse a 2^Z-dimensional array unless 1 <= z <= `oracle_limit`."""
+    if z < 1:
+        raise ValueError(f"need at least one site, got z={z}")
+    if z > oracle_limit():
+        raise ValueError(f"z={z} exceeds the oracle limit {oracle_limit()} "
+                         f"(set {ORACLE_LIMIT_ENV} to raise it)")
+
+
 def validate_word(word: str) -> None:
     if not word or any(ch not in FACTORS for ch in word):
         raise ValueError(f"not a factor word: {word!r}")
@@ -359,10 +368,7 @@ def to_dense(t, z: int | None = None) -> np.ndarray:
         lengths.add(z)
     if lengths - {z}:
         raise ValueError(f"word lengths {sorted(lengths)} do not match z={z}")
-    if z > oracle_limit():
-        raise ValueError(
-            f"z={z} exceeds the dense-space limit {oracle_limit()} "
-            f"(override with {ORACLE_LIMIT_ENV})")
+    _check_dense_size(z)
     dim = 2 ** z
     out = np.zeros((dim, dim), dtype=complex)
     for word, weight in t.items():

@@ -293,10 +293,7 @@ class SymmetricVector:
 
     def to_dense(self) -> np.ndarray:
         """Dense reconstruction: entry (r, c) is coeff / multiplicity of its slot."""
-        if self.z > su4.oracle_limit():
-            raise ValueError(
-                f"z={self.z} exceeds the dense-space limit {su4.oracle_limit()} "
-                f"(override with {su4.ORACLE_LIMIT_ENV})")
+        su4._check_dense_size(self.z)
         slots, mult = _dense_layout(self.z)
         return (self.coeffs / mult).astype(complex)[slots]
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dicke4 import cli
+from dicke4 import cli, verification
 from dicke4 import su4_algebra as su4
 from dicke4 import symmetric_sector as sec
 
@@ -225,10 +226,14 @@ def test_propagate_entropy_through_the_dense_model(capsys):
      "--model", "dicke-truncated", "--ctilde", "0.9"),
     ("propagate", "--initial", "config:1,1,1,0",
      "--model", "dicke-truncated"),
+    ("propagate", "--initial", "bell", "--model", "dicke-truncated", "--s", "1.5"),
+    ("propagate", "--initial", "bell", "--model", "dense-oracle", "--s", "1.5"),
+    ("propagate", "--initial", "bell", "--model", "dense-oracle", "--s", "nan"),
+    ("propagate", "--initial", "bell", "--model", "dense-oracle", "--ctilde", "-1"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert err.startswith("error:")
 
 
@@ -266,6 +271,66 @@ def test_verify_passes_quickly(capsys):
     lines = out.strip().split("\n")
     assert lines[-1].startswith("all ") and lines[-1].endswith("checks passed")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+VERIFY_CHECKS = (
+    "commutator-table", "dependency-identities", "linearity", "duality", "casimir",
+    "dimension", "ladder-vs-dense", "biorthogonality", "spectrum", "block-rates",
+    "decay-closed-form", "dephasing-vs-oracle", "bell-weights", "bch-vs-oracle",
+    "ghz-weights", "physicality", "entropy-endpoints", "inversion-formulas",
+)
+VERIFY_LINE = re.compile(r"(PASS|FAIL)  ([a-z-]+): .+ \(\d+\.\d\ds\)")
+
+
+def verify_report(out):
+    """{check name: PASS or FAIL} in report order, and the summary line."""
+    *lines, summary = out.strip().split("\n")
+    status = {}
+    for line in lines:
+        match = VERIFY_LINE.fullmatch(line)
+        assert match, line
+        status[match[2]] = match[1]
+    return status, summary
+
+
+def test_verify_full_battery_passes(capsys):
+    code, out, _ = run(capsys, "verify")
+    status, summary = verify_report(out)
+    assert code == 0 and summary == "all 18 checks passed"
+    assert tuple(status) == VERIFY_CHECKS
+    assert set(status.values()) == {"PASS"}
+
+
+def nan_state(v, p, tau):
+    return sec.SymmetricVector(v.z, np.full(v.coeffs.shape, np.nan))
+
+
+def test_verify_fails_on_a_nan_propagator(capsys, monkeypatch):
+    # every check that propagates must fail; the one that raises inside
+    # (entropy of a NaN matrix) reports FAIL and the battery goes on
+    monkeypatch.setattr(verification, "propagate_bch", nan_state)
+    monkeypatch.setattr(verification, "evolve", nan_state)
+    code, out, _ = run(capsys, "verify", "--words", "4")
+    status, summary = verify_report(out)
+    assert code == 1 and summary == "8 of 18 checks FAILED"
+    assert tuple(status) == VERIFY_CHECKS
+    assert [name for name, s in status.items() if s == "FAIL"] == [
+        "decay-closed-form", "dephasing-vs-oracle", "bell-weights", "bch-vs-oracle",
+        "ghz-weights", "physicality", "entropy-endpoints", "inversion-formulas"]
+
+
+def test_verify_fails_on_nan_eigenvalues(capsys, monkeypatch):
+    real = verification.spectrum
+
+    def nan_spectrum(p):
+        vals, stat = real(p)
+        return np.full_like(vals, np.nan), stat
+
+    monkeypatch.setattr(verification, "spectrum", nan_spectrum)
+    code, out, _ = run(capsys, "verify", "--z-max", "2", "--words", "4")
+    status, _ = verify_report(out)
+    assert code == 1
+    assert [name for name, s in status.items() if s == "FAIL"] == ["spectrum"]
 
 
 def test_verify_catches_an_injected_table_bug(capsys, monkeypatch):

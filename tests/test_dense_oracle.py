@@ -128,6 +128,16 @@ def test_dense_propagate_shape_guard():
         do.dense_propagate(2, 0.0, np.eye(3, dtype=complex), 1.0)
 
 
+@pytest.mark.parametrize("s, ctilde, tau", [
+    (1.5, 0.5, 1.0), (float("nan"), 0.5, 1.0), (0.5, -1.0, 1.0),
+    (0.5, 0.5, -1.0), (0.5, 0.5, float("nan")),
+    (1.5, 0.5, 0.0),                      # checked before the tau = 0 shortcut
+])
+def test_dense_propagate_validates_parameters(s, ctilde, tau):
+    with pytest.raises(ValueError):
+        do.dense_propagate(2, s, np.eye(4, dtype=complex) / 4.0, tau, ctilde=ctilde)
+
+
 def test_dicke_state_three_sites():
     ket = do.dicke_state_dense(3, Fraction(1, 2))
     expect = np.zeros(8)

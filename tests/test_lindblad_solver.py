@@ -35,6 +35,7 @@ def random_vector(z, rng):
 
 def test_model_params_validation():
     ls.ModelParams(z=3, s=0.5)
+    ls.ModelParams(z=np.int64(3), s=0.5)        # a Z read from a NumPy array
     with pytest.raises(ValueError):
         ls.ModelParams(z=0, s=0.5)
     with pytest.raises(ValueError):
@@ -242,6 +243,12 @@ def test_decay_closed_form_at_long_times(q3):
     assert np.abs(closed - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+def test_decay_closed_form_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        ls.propagate_decay_closed_form(qnum(1, 1, 0), 2, tau)
+
+
 def test_decay_asymptotics():
     # s=0: everything in a (q, sigma3) block slides to the bottom rung,
     # damped by the block's sigma value through the overall envelope
@@ -399,6 +406,9 @@ def test_truncated_model_rejects_bad_input():
             ls.truncated_dicke_propagate(2, 0.0, (1, 1), [1.0, bad])
     with pytest.raises(ValueError):
         ls.truncated_dicke_propagate(2, 0.0, np.eye(4), 1.0)
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="pumping weight"):
+            ls.truncated_dicke_propagate(2, bad, (1, 1), [1.0])
 
 
 def collective_generator(z, s):

@@ -118,6 +118,12 @@ def test_bell_weights_domain():
         obs.bell_weights_reference(0.5, -1.0)
 
 
+def test_ghz_weights_domain():
+    for tau in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            obs.ghz_weights_reference(tau)
+
+
 def test_ghz_initial_components():
     v = obs.ghz_initial()
     h = Fraction(3, 2)
