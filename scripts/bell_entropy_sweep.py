@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from dicke4.lindblad_solver import ModelParams, evolve
+from dicke4.lindblad_solver import ModelParams, trajectory
 from dicke4.observables import bell_initial, von_neumann_entropy
 
 S_VALUES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -29,8 +29,8 @@ def main(argv=None):
     v0 = bell_initial()
     columns = []
     for s in S_VALUES:
-        p = ModelParams(z=2, s=s)
-        columns.append([von_neumann_entropy(evolve(v0, p, float(t))) for t in taus])
+        columns.append([von_neumann_entropy(v)
+                        for v in trajectory(v0, ModelParams(z=2, s=s), taus)])
 
     lines = ["tau," + ",".join(f"entropy_s={s}" for s in S_VALUES)]
     for i, tau in enumerate(taus):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dicke4.lindblad_solver import (ModelParams, propagate_bch,
+from dicke4.lindblad_solver import (ModelParams, trajectory,
                                     truncated_dicke_propagate)
 from dicke4.observables import atomic_inversion
 from dicke4.symmetric_sector import SymmetricVector
@@ -24,8 +24,7 @@ def per_site_curves(z, taus):
     half = Fraction(z, 2)
     v0 = SymmetricVector.from_components(z, {(half, half, 0): 1.0})
     p = ModelParams(z=z, s=0.0)
-    exact = np.array([atomic_inversion(propagate_bch(v0, p, float(t))) / z
-                      for t in taus])
+    exact = np.array([atomic_inversion(v) / z for v in trajectory(v0, p, taus)])
     rhos = truncated_dicke_propagate(z, 0.0, (half, half), taus)
     m_diag = 0.5 * z - np.arange(z + 1)
     collective = np.einsum("tii,i->t", rhos, m_diag).real / z

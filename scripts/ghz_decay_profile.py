@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from dicke4.lindblad_solver import ModelParams, evolve
+from dicke4.lindblad_solver import ModelParams, trajectory
 from dicke4.observables import ghz_initial, ghz_weights_reference, von_neumann_entropy
 
 
@@ -30,9 +30,9 @@ def main(argv=None):
 
     lines = ["tau,c1,c2,c3,c4,c5,entropy"]
     peak = (0.0, 0.0)
-    for tau in taus:
+    for tau, v in zip(taus, trajectory(v0, p, taus)):
         weights = ghz_weights_reference(float(tau))
-        entropy = von_neumann_entropy(evolve(v0, p, float(tau)))
+        entropy = von_neumann_entropy(v)
         if entropy > peak[1]:
             peak = (float(tau), entropy)
         cells = [repr(float(tau))] + [repr(w) for w in weights] + [repr(entropy)]

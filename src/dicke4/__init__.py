@@ -12,7 +12,7 @@ ground truth at small Z.
 from .lindblad_solver import (ModelParams, block_eigenmodes, evolve,
                               liouvillian_matrix, propagate_bch,
                               propagate_decay_closed_form, spectrum,
-                              truncated_dicke_propagate)
+                              trajectory, truncated_dicke_propagate)
 from .observables import (ObservableSeries, atomic_inversion, bell_initial,
                           bell_weights_reference, ghz_initial,
                           ghz_weights_reference, matrix_entropy,
@@ -32,7 +32,7 @@ __all__ = [
     "extract_coefficients", "evolve", "ghz_initial", "ghz_weights_reference",
     "liouvillian_matrix", "matrix_entropy", "multiplicity", "propagate_bch",
     "propagate_decay_closed_form", "qn_from_config", "qnum", "run_all",
-    "sector_dimension", "spectrum", "truncated_dicke_propagate",
+    "sector_dimension", "spectrum", "trajectory", "truncated_dicke_propagate",
     "von_neumann_entropy",
 ]
 

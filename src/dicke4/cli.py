@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dense_oracle as do
 from . import verification
-from .lindblad_solver import ModelParams, evolve, spectrum, truncated_dicke_propagate
+from .lindblad_solver import ModelParams, spectrum, trajectory, truncated_dicke_propagate
 from .observables import (ObservableSeries, atomic_inversion, bell_initial,
                           ghz_initial, matrix_entropy, von_neumann_entropy)
 from .symmetric_sector import (Config, SymmetricVector, config_from_qn,
@@ -188,6 +188,8 @@ def cmd_spectrum(args) -> int:
 def _grid(tau_max: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError(f"steps={steps} must be >= 1")
+    if not np.isfinite(tau_max):
+        raise ValueError(f"tau-max={tau_max} must be finite and positive")
     if tau_max < 0 or (steps > 1 and tau_max <= 0):
         raise ValueError(f"tau-max={tau_max} must be positive")
     return np.linspace(0.0, tau_max, steps)
@@ -200,7 +202,7 @@ def _trajectory(args, kind, payload, z, taus):
     if args.model == "symmetric":
         v0 = _symmetric_initial(kind, payload, z)
         p = ModelParams(z=z, s=args.s, ctilde=args.ctilde)
-        return ((evolve(v0, p, float(tau)) for tau in taus),
+        return (trajectory(v0, p, taus),
                 {"trace": SymmetricVector.trace, "inversion": atomic_inversion,
                  "entropy": von_neumann_entropy})
     if args.model == "dicke-truncated":

@@ -125,13 +125,15 @@ def test_propagate_long_horizon_at_sixty_sites(capsys):
 
 def test_propagate_at_two_hundred_sites_needs_no_label_table(capsys):
     tables = sec.basis.cache_info().currsize
-    code, out, _ = run(capsys, "propagate", "--initial", "dicke:0", "--z", "200",
-                       "--steps", "3")
+    code, out, _ = run(capsys, "propagate", "--initial", "dicke:0", "--z", "200")
     assert code == 0
     rows = np.array([[float(x) for x in line.split(",")]
                      for line in out.strip().split("\n")[1:]])
-    assert rows.shape == (3, 3)
+    assert rows.shape == (200, 3)
     assert np.abs(rows[:, 1] - 1.0).max() <= 1e-12
+    # independent sites at s = 0: <S3> = Z (s - 1/2) + (q3 - Z (s - 1/2)) e^(-tau)
+    want = -100.0 + 100.0 * np.exp(-rows[:, 0])
+    assert np.abs(rows[:, 2] - want).max() <= 1e-9 * 200
     assert sec.basis.cache_info().currsize == tables
 
 
@@ -230,11 +232,17 @@ def test_propagate_entropy_through_the_dense_model(capsys):
     ("propagate", "--initial", "bell", "--model", "dense-oracle", "--s", "1.5"),
     ("propagate", "--initial", "bell", "--model", "dense-oracle", "--s", "nan"),
     ("propagate", "--initial", "bell", "--model", "dense-oracle", "--ctilde", "-1"),
+    ("propagate", "--initial", "dicke:1", "--z", "4", "--tau-max", "inf"),
+    ("propagate", "--initial", "dicke:1", "--z", "4", "--tau-max", "nan"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Warning" not in err
+    if argv[-2:] in (("--tau-max", "inf"), ("--tau-max", "nan")):
+        assert err == f"error: tau-max={argv[-1]} must be finite and positive\n"
 
 
 @pytest.mark.parametrize("q3, z", [("1", "11"), ("7", "4")])

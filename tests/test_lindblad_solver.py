@@ -156,6 +156,99 @@ def test_propagator_matches_matrix_exponential():
                     assert gap <= 1e-12, (z, s, ct, tau, gap)
 
 
+# -------------------------------------------------------------- trajectory
+
+def _complex_vector(z, rng):
+    dim = sector_dimension(z)
+    return SymmetricVector(z, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("z", [4, 20])
+def test_trajectory_matches_expm_multiply_of_the_generator(z):
+    v = _complex_vector(z, np.random.default_rng(61 + z))
+    taus = np.linspace(0.0, 10.0, 200)
+    for s in (0.3, 1.0):
+        for ct in (0.5, 1.4):
+            p = ls.ModelParams(z=z, s=s, ctilde=ct)
+            oracle = expm_multiply(ls.liouvillian_matrix(p), v.coeffs, start=0.0,
+                                   stop=10.0, num=200, endpoint=True)
+            states = list(ls.trajectory(v, p, taus))
+            assert len(states) == 200
+            for k, (state, want) in enumerate(zip(states, oracle)):
+                assert _relative_gap(state.coeffs, want) <= 1e-12, (s, ct, k)
+
+
+@pytest.mark.parametrize("taus", [
+    [0.0, 0.1, 0.35, 1.0, 2.7, 2.71, 9.0],      # non-uniform
+    [3.0, 0.5, 7.25, 0.5, 1.0, 0.0, 4.0],       # unsorted
+    [0.0, 1.5, 1.5, 1.5, 3.0, 3.0, 0.2, 0.2],   # repeated
+    [2.5, 2.75, 3.0, 3.25, 3.5],                # not starting at 0
+], ids=["non-uniform", "unsorted", "repeated", "offset"])
+def test_trajectory_equals_per_tau_evolve_on_any_grid(taus):
+    rng = np.random.default_rng(67)
+    for z in (3, 20):
+        v = _complex_vector(z, rng)
+        p = ls.ModelParams(z=z, s=0.3, ctilde=0.8)
+        states = list(ls.trajectory(v, p, taus))
+        assert len(states) == len(taus)
+        for tau, state in zip(taus, states):
+            assert _relative_gap(state.coeffs, ls.evolve(v, p, tau).coeffs) <= 1e-13, (z, tau)
+
+
+@pytest.mark.parametrize("z", [3, 20])
+def test_trajectory_drift_over_ten_thousand_steps(z):
+    # rounding drifts about linearly with the step count; compare as the
+    # walk goes, since storing 10^4 states would cost gigabytes at large Z
+    v = _complex_vector(z, np.random.default_rng(71 + z))
+    p = ls.ModelParams(z=z, s=0.3, ctilde=0.8)
+    taus = np.linspace(0.0, 40.0, 10 ** 4)
+    sampled = set(np.linspace(0, len(taus) - 1, 25).astype(int).tolist())
+    worst = 0.0
+    for k, state in enumerate(ls.trajectory(v, p, taus)):
+        if k in sampled:
+            exact = ls.evolve(v, p, float(taus[k])).coeffs
+            worst = max(worst, _relative_gap(state.coeffs, exact))
+    assert k == len(taus) - 1
+    assert worst <= 2e-12
+
+
+def test_trajectory_builds_maps_once_per_step_length(monkeypatch):
+    built = []
+    original = ls._slab_maps
+    monkeypatch.setattr(ls, "_slab_maps",
+                        lambda p, tau, live: built.append(tau) or original(p, tau, live))
+    v = _complex_vector(6, np.random.default_rng(73))
+    taus = np.linspace(0.0, 10.0, 200)
+    list(ls.trajectory(v, ls.ModelParams(z=6, s=0.3), taus))
+    assert sorted(built) == sorted(set(np.diff(taus).tolist()) | {0.0})
+    assert len(built) == 11         # ten step lengths and the zero first step
+
+
+@pytest.mark.parametrize("label", [(10, 3, 0), (0, 0, 10)], ids=["dicke", "config:0,0,20,0"])
+def test_trajectory_keeps_zero_slabs_exactly_zero(label):
+    z = 20
+    v = SymmetricVector.from_components(z, {label: 1.0})
+    live = basis(z).q_values == label[0]
+    p = ls.ModelParams(z=z, s=0.3, ctilde=0.8)
+    for state in ls.trajectory(v, p, np.linspace(0.0, 10.0, 50)):
+        assert np.all(state.coeffs[~live] == 0.0)
+        assert np.any(state.coeffs[live] != 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_trajectory_rejects_a_bad_tau_when_it_reaches_it(bad):
+    v = SymmetricVector.from_components(3, {(Fraction(3, 2), Fraction(1, 2), 0): 1.0})
+    walk = ls.trajectory(v, ls.ModelParams(z=3, s=0.3), [0.0, 1.0, bad, 2.0])
+    next(walk)
+    next(walk)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        next(walk)
+
+
 def test_trace_is_conserved_for_any_dephasing():
     rng = random.Random(53)
     v = random_vector(4, rng)
