@@ -228,7 +228,8 @@ def clean(t: dict) -> dict:
 def add_into(acc: dict, t: dict, scalar=1) -> dict:
     """acc += scalar * t, in place; returns acc."""
     for w, coeff in t.items():
-        acc[w] = acc.get(w, 0) + scalar * coeff
+        term = coeff if scalar == 1 else -coeff if scalar == -1 else scalar * coeff
+        acc[w] = acc[w] + term if w in acc else term
     return acc
 
 
@@ -254,7 +255,8 @@ def apply_superoperator(op: str, t) -> dict:
                 continue
             coeff, rep = hit
             new = word[:i] + rep + word[i + 1:]
-            out[new] = out.get(new, 0) + weight * coeff
+            term = weight if coeff == 1 else weight * coeff
+            out[new] = out[new] + term if new in out else term
     return clean(out)
 
 
@@ -279,12 +281,11 @@ def table_commutator(x: str, y: str, t) -> dict:
 
 def casimir_apply(family: str, t) -> dict:
     """X^2 = X- X+ + X3 X3 + X3 for family X, applied to a word or sum."""
-    if isinstance(t, str):
-        t = {t: Fraction(1)}
     minus, plus, three = family + "-", family + "+", family + "3"
+    t3 = apply_superoperator(three, t)
     out = apply_superoperator(minus, apply_superoperator(plus, t))
-    add_into(out, apply_superoperator(three, apply_superoperator(three, t)))
-    add_into(out, apply_superoperator(three, t))
+    add_into(out, apply_superoperator(three, t3))
+    add_into(out, t3)
     return clean(out)
 
 

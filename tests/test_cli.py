@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,9 @@ def test_propagate_entropy_through_the_dense_model(capsys):
     ("propagate", "--initial", "bell", "--model", "dense-oracle", "--ctilde", "-1"),
     ("propagate", "--initial", "dicke:1", "--z", "4", "--tau-max", "inf"),
     ("propagate", "--initial", "dicke:1", "--z", "4", "--tau-max", "nan"),
+    ("verify", "--words", "0"),
+    ("verify", "--z-max", "0"),
+    ("verify", "--z-max", "-1"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_usage_errors_exit_two(capsys, argv):
@@ -243,6 +247,9 @@ def test_usage_errors_exit_two(capsys, argv):
     assert "Warning" not in err
     if argv[-2:] in (("--tau-max", "inf"), ("--tau-max", "nan")):
         assert err == f"error: tau-max={argv[-1]} must be finite and positive\n"
+    if argv[0] == "verify":
+        name = {"--words": "words_per_z", "--z-max": "z_max"}[argv[1]]
+        assert err == f"error: {name}={argv[2]} must be at least 1\n"
 
 
 @pytest.mark.parametrize("q3, z", [("1", "11"), ("7", "4")])
@@ -349,6 +356,75 @@ def test_verify_catches_an_injected_table_bug(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  commutator-table" in out
     assert "FAILED" in out.strip().split("\n")[-1]
+
+
+def failed_checks(capsys, *argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    status, _ = verify_report(out)
+    assert code == 1
+    return [name for name, s in status.items() if s == "FAIL"]
+
+
+def test_verify_catches_a_corrupted_mirrored_table_entry(capsys, monkeypatch):
+    # [Q-,Q+] = -2 Q3; the (Q+, Q-) entry stays right, so a check that read
+    # only one ordering, or reused one commutator for its mirror, would pass
+    monkeypatch.setitem(su4.COMMUTATOR_TABLE, ("Q-", "Q+"), ((2, "Q3"),))
+    assert failed_checks(capsys, "--z-max", "2") == ["commutator-table"]
+
+
+def test_verify_catches_a_wrong_casimir_eigenvalue(capsys, monkeypatch):
+    # give M the U family's paired-factor count
+    monkeypatch.setitem(verification._CASIMIR_CONTENT, "M",
+                        lambda c: Fraction(c.alpha + c.gamma, 2))
+    assert failed_checks(capsys, "--z-max", "2") == ["casimir"]
+
+
+def test_verify_catches_a_dual_label_that_is_not_flipped(capsys, monkeypatch):
+    monkeypatch.setattr(sec, "dual_qn", lambda qn: qn)
+    assert failed_checks(capsys, "--z-max", "2") == ["biorthogonality"]
+
+
+def test_verify_catches_a_ladder_coefficient_off_by_one(capsys, monkeypatch):
+    real = sec.apply_ladder
+
+    def off_by_one(x, qn, z):
+        coeff, target = real(x, qn, z)
+        return coeff + 1, target
+
+    monkeypatch.setattr(sec, "apply_ladder", off_by_one)
+    assert failed_checks(capsys, "--z-max", "2") == ["ladder-vs-dense"]
+
+
+# `dicke4 verify --seed 3` with the timing suffixes stripped: sharing word
+# images between the comparisons of a check must not change any line
+VERIFY_SEED_3 = """\
+PASS  commutator-table: 32400 commutators match exactly
+PASS  dependency-identities: N3/U3/V3 decompositions exact on random words
+PASS  linearity: superoperators act linearly
+PASS  duality: trace duality exact for all 18 maps
+PASS  casimir: Casimir structure verified: [X^2,Y3]=0, partner pairs commute, \
+sector eigenvalues mu(mu+1)
+PASS  dimension: formula holds for z=1..20
+PASS  ladder-vs-dense: 18 maps x all states agree (max dense gap 0.0e+00)
+PASS  biorthogonality: delta pairing exact for z <= 4
+PASS  spectrum: block spectrum and stationary weights verified to z=4
+PASS  block-rates: all block spectra are {-(Z/2-q)-j} up to z=4
+PASS  decay-closed-form: binomial decay formula matches the propagator
+PASS  dephasing-vs-oracle: dephasing factor matches the oracle
+PASS  bell-weights: closed-form weights reproduced to 1e-12
+PASS  bch-vs-oracle: max entrywise gap 6.7e-16
+PASS  ghz-weights: decay weights (including negative coherences) reproduced
+PASS  physicality: trajectories stay unit-trace, Hermitian, positive
+PASS  entropy-endpoints: pure starts; 2-bit Bell plateau; GHZ peak 1.970 then 0
+PASS  inversion-formulas: decay inversion curves and collective Z=2 formula hold
+all 18 checks passed
+"""
+
+
+def test_verify_report_is_unchanged(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "3")
+    assert code == 0
+    assert re.sub(r" \(\d+\.\d\ds\)$", "", out, flags=re.M) == VERIFY_SEED_3
 
 
 def test_verify_out_file(tmp_path, capsys):

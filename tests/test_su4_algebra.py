@@ -99,6 +99,82 @@ def test_superoperators_are_linear(w1, w2, c1, c2, op):
     assert combined == su4.clean(separate)
 
 
+# Each factor's 2x2 matrix unit in the single-site basis (|1>, |0>), and each
+# superoperator as its per-site sandwiches coeff * L P R, read off the
+# definitions in the su4_algebra module docstring (not off SINGLE_SITE).
+UNIT = {"u": ((1, 0), (0, 0)), "d": ((0, 0), (0, 1)),
+        "s": ((0, 1), (0, 0)), "c": ((0, 0), (1, 0))}
+ONE, S3 = ((1, 0), (0, 1)), ((1, 0), (0, -1))
+SP, SM, UP, DN = UNIT["s"], UNIT["c"], UNIT["u"], UNIT["d"]
+QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
+SANDWICHES = {
+    "Q+": [(1, SP, SM)], "Q-": [(1, SM, SP)],
+    "Q3": [(QUARTER, S3, ONE), (QUARTER, ONE, S3)],
+    "Sigma+": [(1, SP, SP)], "Sigma-": [(1, SM, SM)],
+    "Sigma3": [(QUARTER, S3, ONE), (-QUARTER, ONE, S3)],
+    "M+": [(1, SP, UP)], "M-": [(1, SM, UP)], "M3": [(HALF, S3, UP)],
+    "N+": [(1, SP, DN)], "N-": [(1, SM, DN)], "N3": [(HALF, S3, DN)],
+    "U+": [(1, UP, SM)], "U-": [(1, UP, SP)], "U3": [(HALF, UP, S3)],
+    "V+": [(1, DN, SM)], "V-": [(1, DN, SP)], "V3": [(HALF, DN, S3)],
+}
+
+
+def matmul2(a, b):
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
+                 for i in range(2))
+
+
+def literal_apply(op, t):
+    # X t from the per-site definition, zero weights kept: at every site the
+    # factor's matrix unit E becomes sum coeff * L E R, split into units
+    out = {}
+    for word, weight in t.items():
+        for i, ch in enumerate(word):
+            for coeff, left, right in SANDWICHES[op]:
+                m = matmul2(matmul2(left, UNIT[ch]), right)
+                for rep, unit in UNIT.items():
+                    entry = sum(m[r][c] * unit[r][c] for r in range(2) for c in range(2))
+                    if entry:
+                        new = word[:i] + rep + word[i + 1:]
+                        out[new] = out.get(new, 0) + weight * coeff * entry
+    return out
+
+
+def nonzero(t):
+    return {w: v for w, v in t.items() if v != 0}
+
+
+def test_apply_superoperator_equals_the_per_site_definition():
+    rng = random.Random(11)
+
+    def weight():
+        value = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+        return value or 1
+
+    cancelled = 0
+    for op in OPS:
+        sums = [{random_word(rng, z): weight() for _ in range(rng.randint(1, 6))}
+                for z in (1, 2, 3, 4) for _ in range(10)]
+        # two words that land on one image word with opposite weights
+        for ch, (_, rep) in su4.SINGLE_SITE[op].items():
+            if ch != rep:
+                target = rep * 2 + random_word(rng, 2)
+                w = weight()
+                sums.append({ch + target[1:]: w, target[0] + ch + target[2:]: -w})
+        for t in sums:
+            raw = literal_apply(op, t)
+            want = nonzero(raw)
+            cancelled += len(raw) - len(want)
+            got = su4.apply_superoperator(op, t)
+            assert got == want, (op, t)
+            assert all(type(v) in (int, Fraction) for v in got.values()), got
+        for w in {word for t in sums for word in t}:
+            assert su4.apply_superoperator(op, w) == nonzero(literal_apply(op, {w: 1}))
+    assert cancelled >= 100
+    assert su4.apply_superoperator("Q-", {"ud": 1, "du": -1}) == {}
+    assert su4.apply_superoperator("Q3", {"ud": Fraction(2, 3)}) == {}
+
+
 # ------------------------------------------------------------------ duality
 
 @given(words, words, st.sampled_from(OPS))
