@@ -13,9 +13,8 @@ from .lindblad_solver import (ModelParams, block_eigenmodes, evolve,
                               liouvillian_matrix, propagate_bch,
                               propagate_decay_closed_form, spectrum,
                               trajectory, truncated_dicke_propagate)
-from .observables import (ObservableSeries, atomic_inversion, bell_initial,
-                          bell_weights_reference, ghz_initial,
-                          ghz_weights_reference, matrix_entropy,
+from .observables import (atomic_inversion, bell_initial, bell_weights_reference,
+                          ghz_initial, ghz_weights_reference, matrix_entropy,
                           von_neumann_entropy)
 from .symmetric_sector import (Config, QuantumNumbers, SymmetricBasis,
                                SymmetricVector, basis, config_from_qn,
@@ -25,15 +24,14 @@ from .symmetric_sector import (Config, QuantumNumbers, SymmetricBasis,
 from .verification import CheckResult, run_all
 
 __all__ = [
-    "CheckResult", "Config", "ModelParams", "ObservableSeries",
-    "QuantumNumbers", "SymmetricBasis", "SymmetricVector", "atomic_inversion",
-    "basis", "bell_initial", "bell_weights_reference", "block_eigenmodes",
-    "config_from_qn", "embed_dense", "enumerate_basis",
-    "extract_coefficients", "evolve", "ghz_initial", "ghz_weights_reference",
-    "liouvillian_matrix", "matrix_entropy", "multiplicity", "propagate_bch",
-    "propagate_decay_closed_form", "qn_from_config", "qnum", "run_all",
-    "sector_dimension", "spectrum", "trajectory", "truncated_dicke_propagate",
-    "von_neumann_entropy",
+    "CheckResult", "Config", "ModelParams", "QuantumNumbers", "SymmetricBasis",
+    "SymmetricVector", "atomic_inversion", "basis", "bell_initial",
+    "bell_weights_reference", "block_eigenmodes", "config_from_qn", "embed_dense",
+    "enumerate_basis", "extract_coefficients", "evolve", "ghz_initial",
+    "ghz_weights_reference", "liouvillian_matrix", "matrix_entropy", "multiplicity",
+    "propagate_bch", "propagate_decay_closed_form", "qn_from_config", "qnum",
+    "run_all", "sector_dimension", "spectrum", "trajectory",
+    "truncated_dicke_propagate", "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ import numpy as np
 from . import dense_oracle as do
 from . import verification
 from .lindblad_solver import ModelParams, spectrum, trajectory, truncated_dicke_propagate
-from .observables import (ObservableSeries, atomic_inversion, bell_initial,
-                          ghz_initial, matrix_entropy, von_neumann_entropy)
+from .observables import (atomic_inversion, bell_initial, ghz_initial,
+                          matrix_entropy, von_neumann_entropy)
 from .symmetric_sector import (Config, SymmetricVector, config_from_qn,
                                embed_dense, enumerate_basis, multiplicity,
                                qn_from_config, qnum, sector_dimension)
@@ -63,6 +63,8 @@ def _parse_observables(text: str) -> list:
 
 def _parse_initial(text: str, z: int | None):
     """Returns (kind, payload, z).  kind in {bell, ghz, dicke, config}."""
+    if z is not None and z < 1:
+        raise ValueError(f"need at least one site, got z={z}")
     if text == "bell":
         if z not in (None, 2):
             raise ValueError("initial 'bell' fixes z=2")
@@ -192,7 +194,10 @@ def _grid(tau_max: float, steps: int) -> np.ndarray:
         raise ValueError(f"tau-max={tau_max} must be finite and positive")
     if tau_max < 0 or (steps > 1 and tau_max <= 0):
         raise ValueError(f"tau-max={tau_max} must be positive")
-    return np.linspace(0.0, tau_max, steps)
+    taus = np.linspace(0.0, tau_max, steps)
+    if np.any(np.diff(taus) <= 0):     # a subnormal tau-max repeats a point
+        raise ValueError("tau grid must be strictly increasing")
+    return taus
 
 
 def _trajectory(args, kind, payload, z, taus):
@@ -230,22 +235,19 @@ def cmd_propagate(args) -> int:
     cols = {name: [] for name in names}
     for state in states:
         for name in names:
-            cols[name].append(readouts[name](state))
+            cols[name].append(float(readouts[name](state)))
 
-    series = ObservableSeries(tuple(taus), {n: tuple(cols[n]) for n in names})
     if args.format == "json":
         payload = {
             "z": z, "s": float(args.s), "ctilde": float(args.ctilde),
             "model": args.model, "initial": args.initial,
-            "taus": [float(t) for t in series.taus],
-            "values": {n: list(series.values[n]) for n in names},
+            "taus": taus.tolist(), "values": cols,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["tau," + ",".join(names)]
-        for i, tau in enumerate(series.taus):
-            cells = [_fmt(tau)] + [_fmt(series.values[n][i]) for n in names]
-            lines.append(",".join(cells))
+        for i, tau in enumerate(taus):
+            lines.append(",".join([_fmt(tau)] + [_fmt(cols[n][i]) for n in names]))
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

@@ -47,8 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal, expm
 
-from .symmetric_sector import (SymmetricVector, _slab_offset, basis,
-                               config_from_qn, qnum, sector_dimension)
+from .symmetric_sector import (SymmetricVector, _slab_table, config_from_qn,
+                               qnum, sector_dimension)
 
 
 @dataclass(frozen=True)
@@ -78,38 +78,51 @@ def _check_domain(tau: float) -> float:
     return -math.expm1(-tau)
 
 
+def _slab_rows(z: int):
+    """Slab size n, row beta (number of d factors) and row width m + 1 of
+    every slot, read off the slab layout."""
+    starts, _ = _slab_table(z)
+    sizes = np.diff(starts, append=sector_dimension(z))
+    n = np.repeat(np.arange(z, -1, -1), sizes)
+    width = z + 1 - n
+    return n, (np.arange(len(n)) - np.repeat(starts, sizes)) // width, width
+
+
 @lru_cache(maxsize=None)
 def ladder_matrices(z: int):
     """Sparse matrices of Q+ and Q- on the sector coefficient vector.
 
     Column j holds the image of basis state j: Q+- P_{q,q3,s3} =
-    (q -+ q3) P_{q,q3 +- 1,s3}.  Entries are the exact integer counts.
+    (q -+ q3) P_{q,q3 +- 1,s3}.  On slab n, with rows beta = q - q3 and one
+    column per delta, Q+ sends row beta to beta - 1 with weight beta and Q-
+    sends it to beta + 1 with weight n - beta = q + q3: a tridiagonal in beta
+    times the identity in delta.  Entries are the exact integer counts.
     """
-    b = basis(z)
+    n, beta, width = _slab_rows(z)
+    dim = len(n)
+    slot = np.arange(dim)
     mats = []
-    for step in (1, -1):     # Q+ has weight q - q3 = beta, Q- has q + q3 = alpha
-        vals, rows, cols = zip(*[(float(q - step * q3), b.index[qnum(q, q3 + step, s3)], j)
-                                 for j, (q, q3, s3) in enumerate(b.states) if q != step * q3])
-        mats.append(sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, b.dimension)))
+    for weight, shift in ((beta, -width), (n - beta, width)):
+        moves = weight > 0
+        mats.append(sp.csr_matrix((weight[moves].astype(float),
+                                   (slot[moves] + shift[moves], slot[moves])),
+                                  shape=(dim, dim)))
     return tuple(mats)
 
 
 def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
-    """Sector matrix of the full generator acting on coefficient vectors."""
-    b = basis(p.z)
+    """Sector matrix of the full generator acting on coefficient vectors.
+
+    The diagonal reads q = n/2 and q3 = n/2 - beta off each slot's slab n
+    and row beta; the off-diagonal is (1-s) Q- + s Q+ from `ladder_matrices`.
+    """
+    n, beta, _ = _slab_rows(p.z)
+    q = 0.5 * n
     qp, qm = ladder_matrices(p.z)
     diag = (-0.5 * p.z
-            - (1.0 - 2.0 * p.s) * b.q3_values
-            + (1.0 - 2.0 * p.ctilde) * (0.5 * p.z - b.q_values))
+            - (1.0 - 2.0 * p.s) * (q - beta)
+            + (1.0 - 2.0 * p.ctilde) * (0.5 * p.z - q))
     return (sp.diags(diag) + (1.0 - p.s) * qm + p.s * qp).tocsr()
-
-
-@lru_cache(maxsize=None)
-def _slab_table(z: int):
-    """First slot of every slab, by descending n, and its (n, slice) pair."""
-    starts = _slab_offset(z, np.arange(z, -1, -1))
-    bounds = [*starts.tolist(), sector_dimension(z)]
-    return starts, [(z - k, slice(bounds[k], bounds[k + 1])) for k in range(z + 1)]
 
 
 def _slab_maps(p: ModelParams, tau: float, live) -> dict:

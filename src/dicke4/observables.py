@@ -13,9 +13,8 @@ basis states for all tau, with closed-form weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -101,25 +100,3 @@ def ghz_weights_reference(tau: float) -> Tuple[float, float, float, float, float
         0.5 * (1.0 + f ** 3),
         0.5 * math.exp(-1.5 * tau),
     )
-
-
-@dataclass(frozen=True)
-class ObservableSeries:
-    """Columnar carrier for observables sampled on a tau grid."""
-    taus: Tuple[float, ...]
-    values: Dict[str, Tuple[float, ...]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        object.__setattr__(
-            self, "values",
-            {name: tuple(float(x) for x in col) for name, col in self.values.items()})
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError("tau grid must be strictly increasing")
-        for name, col in self.values.items():
-            if len(col) != len(self.taus):
-                raise ValueError(f"column {name!r} has {len(col)} entries "
-                                 f"for {len(self.taus)} tau points")
-
-    def column(self, name: str) -> Tuple[float, ...]:
-        return self.values[name]

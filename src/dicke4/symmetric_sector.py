@@ -88,11 +88,6 @@ def dual_qn(qn: QuantumNumbers) -> QuantumNumbers:
     return QuantumNumbers(qn[0], qn[1], -qn[2])
 
 
-def apply_qtilde(qn: QuantumNumbers) -> Fraction:
-    """Eigenvalue of (Z + 4 M3 - 2 Q3 - 2 Sigma3)/4 on a basis state: q."""
-    return Fraction(qn[0])
-
-
 def sector_dimension(z: int) -> int:
     if z < 1:
         raise ValueError(f"need at least one site, got z={z}")
@@ -102,6 +97,14 @@ def sector_dimension(z: int) -> int:
 def _slab_offset(z: int, n):
     """First slot of slab n: the sizes (k+1)(Z-k+1) of the slabs k > n, summed."""
     return sector_dimension(z) - (n + 1) * (n + 2) * (3 * z - 2 * n + 3) // 6
+
+
+@lru_cache(maxsize=None)
+def _slab_table(z: int):
+    """First slot of every slab, by descending n, and its (n, slice) pair."""
+    starts = _slab_offset(z, np.arange(z, -1, -1))
+    bounds = [*starts.tolist(), sector_dimension(z)]
+    return starts, [(z - k, slice(bounds[k], bounds[k + 1])) for k in range(z + 1)]
 
 
 def basis_slot(z: int, qn) -> int:
@@ -185,12 +188,10 @@ def enumerate_basis(z: int) -> tuple:
 
 @dataclass(frozen=True)
 class SymmetricBasis:
-    """Immutable lookup tables for one sector size."""
+    """Labels of one sector size in slot order, and the slot of each label."""
     z: int
     states: tuple
     index: dict
-    q_values: np.ndarray       # float q per basis slot
-    q3_values: np.ndarray      # float q3 per basis slot
 
     @property
     def dimension(self) -> int:
@@ -200,11 +201,7 @@ class SymmetricBasis:
 @lru_cache(maxsize=None)
 def basis(z: int) -> SymmetricBasis:
     states = enumerate_basis(z)
-    q = np.array([float(qn.q) for qn in states])
-    q3 = np.array([float(qn.q3) for qn in states])
-    q.flags.writeable = q3.flags.writeable = False
-    return SymmetricBasis(z=z, states=states, index={qn: i for i, qn in enumerate(states)},
-                          q_values=q, q3_values=q3)
+    return SymmetricBasis(z=z, states=states, index={qn: i for i, qn in enumerate(states)})
 
 
 def _arrangements(cfg: Config):
@@ -261,7 +258,9 @@ def permutation_defect(z: int, rho: np.ndarray) -> float:
 
 @dataclass
 class SymmetricVector:
-    """Coefficient vector over the sector basis of `basis(z)`."""
+    """Coefficient vector over the sector basis, one slot per label in the
+    order of `enumerate_basis`: slab by slab by descending n, each slab's
+    rows by beta and its columns by delta (see `basis_slot`)."""
     z: int
     coeffs: np.ndarray
 

@@ -238,6 +238,8 @@ def test_propagate_entropy_through_the_dense_model(capsys):
     ("verify", "--words", "0"),
     ("verify", "--z-max", "0"),
     ("verify", "--z-max", "-1"),
+    ("propagate", "--initial", "dicke:0", "--z", "2", "--tau-max", "5e-324",
+     "--steps", "3"),                                           # linspace repeats a tau
 ])
 @pytest.mark.filterwarnings("error")
 def test_usage_errors_exit_two(capsys, argv):
@@ -250,6 +252,8 @@ def test_usage_errors_exit_two(capsys, argv):
     if argv[0] == "verify":
         name = {"--words": "words_per_z", "--z-max": "z_max"}[argv[1]]
         assert err == f"error: {name}={argv[2]} must be at least 1\n"
+    if argv[-4:-2] == ("--tau-max", "5e-324"):
+        assert err == "error: tau grid must be strictly increasing\n"
 
 
 @pytest.mark.parametrize("q3, z", [("1", "11"), ("7", "4")])
@@ -257,6 +261,13 @@ def test_dicke_label_error_names_the_projection(capsys, q3, z):
     code, out, err = run(capsys, "propagate", "--initial", f"dicke:{q3}", "--z", z)
     assert (code, out) == (2, "")
     assert err == f"error: q3={q3} is not a spin projection of z={z} sites\n"
+
+
+@pytest.mark.parametrize("z", ["-2", "0"])
+def test_site_count_below_one_is_refused_first(capsys, z):
+    code, out, err = run(capsys, "propagate", "--initial", "dicke:0", "--z", z)
+    assert (code, out) == (2, "")
+    assert err == f"error: need at least one site, got z={z}\n"
 
 
 def test_argparse_errors_exit_two(capsys):

@@ -18,7 +18,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from dicke4 import lindblad_solver as ls
 from dicke4.observables import atomic_inversion
-from dicke4.symmetric_sector import SymmetricVector, basis, qnum, sector_dimension
+from dicke4.symmetric_sector import (SymmetricVector, basis, enumerate_basis, qnum,
+                                     sector_dimension)
 
 taus_moderate = st.floats(min_value=0.0, max_value=5.0,
                           allow_nan=False, allow_infinity=False)
@@ -99,6 +100,43 @@ def test_ladder_matrices_entries():
     assert qp[:, i_top].nnz == 0       # annihilated at the block edge
 
 
+def _label_route_oracles(p):
+    """Q+, Q- and the sector generator built from labels: each image label is
+    looked up in `basis(z).index`, q and q3 come from the labels."""
+    labels = enumerate_basis(p.z)
+    index = basis(p.z).index
+    qp, qm = np.zeros((2, len(labels), len(labels)))
+    for j, (q, q3, s3) in enumerate(labels):
+        if q3 < q:
+            qp[index[qnum(q, q3 + 1, s3)], j] = float(q - q3)
+        if q3 > -q:
+            qm[index[qnum(q, q3 - 1, s3)], j] = float(q + q3)
+    q = np.array([float(qn.q) for qn in labels])
+    q3 = np.array([float(qn.q3) for qn in labels])
+    diag = (-0.5 * p.z - (1.0 - 2.0 * p.s) * q3
+            + (1.0 - 2.0 * p.ctilde) * (0.5 * p.z - q))
+    return qp, qm, np.diag(diag) + (1.0 - p.s) * qm + p.s * qp
+
+
+@pytest.mark.parametrize("z", range(1, 9))
+def test_sector_oracles_match_the_label_route_exactly(z):
+    for s in (0.0, 0.3, 1.0):
+        for ct in (0.5, 2.0):
+            p = ls.ModelParams(z=z, s=s, ctilde=ct)
+            qp, qm, lv = _label_route_oracles(p)
+            got_qp, got_qm = ls.ladder_matrices(z)
+            assert np.array_equal(got_qp.toarray(), qp)
+            assert np.array_equal(got_qm.toarray(), qm)
+            assert np.array_equal(ls.liouvillian_matrix(p).toarray(), lv), (s, ct)
+
+
+def test_sector_oracles_build_no_label_table():
+    basis.cache_clear()
+    ls.ladder_matrices.cache_clear()
+    ls.liouvillian_matrix(ls.ModelParams(z=40, s=0.3))
+    assert basis.cache_info().currsize == 0
+
+
 def _three_exponentials(v, p, tau, minus_first):
     """The paper's factorized propagator at ctilde = 1/2, by dense expm:
     e^(-Z tau/2) exp(a Q+) exp(b Q3) exp(c Q-) with pivot 1 - s f(tau), or
@@ -110,7 +148,8 @@ def _three_exponentials(v, p, tau, minus_first):
     f = -math.expm1(-tau)
     pivot = 1.0 - weight * f
     w = expm((1.0 - weight) * f / pivot * first) @ v.coeffs
-    w = w * np.exp(sign * (-tau - 2.0 * math.log(pivot)) * basis(p.z).q3_values)
+    q3 = np.array([float(qn.q3) for qn in enumerate_basis(p.z)])
+    w = w * np.exp(sign * (-tau - 2.0 * math.log(pivot)) * q3)
     return math.exp(-0.5 * p.z * tau) * (expm(weight * f / pivot * last) @ w)
 
 
@@ -232,7 +271,7 @@ def test_trajectory_builds_maps_once_per_step_length(monkeypatch):
 def test_trajectory_keeps_zero_slabs_exactly_zero(label):
     z = 20
     v = SymmetricVector.from_components(z, {label: 1.0})
-    live = basis(z).q_values == label[0]
+    live = np.array([qn.q == label[0] for qn in enumerate_basis(z)])
     p = ls.ModelParams(z=z, s=0.3, ctilde=0.8)
     for state in ls.trajectory(v, p, np.linspace(0.0, 10.0, 50)):
         assert np.all(state.coeffs[~live] == 0.0)
@@ -304,7 +343,7 @@ def test_dephasing_factor_properties():
     # untouched and slab q gains e^(-(2 ctilde - 1)(Z/2 - q) tau)
     rng = random.Random(59)
     v = random_vector(3, rng)
-    q = basis(3).q_values
+    q = np.array([float(qn.q) for qn in enumerate_basis(3)])
     tau = 1.3
     half = ls.evolve(v, ls.ModelParams(z=3, s=0.4), tau).coeffs
     for ct in (0.0, 0.3, 1.8):

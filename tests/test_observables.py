@@ -160,21 +160,3 @@ def test_ghz_weights_match_the_solver(tau):
     assert v.coeff((0, 0, h)) == pytest.approx(-c5, abs=1e-12)
     assert v.coeff((0, 0, -h)) == pytest.approx(-c5, abs=1e-12)
 
-
-# ----------------------------------------------------------------- series
-
-def test_series_round_trips_columns():
-    series = obs.ObservableSeries(
-        taus=(0.0, 1.0, 2.0),
-        values={"trace": (1, 1, 1), "inversion": (0.5, 0.1, -0.2)})
-    assert series.column("trace") == (1.0, 1.0, 1.0)
-    assert series.column("inversion")[2] == -0.2
-    with pytest.raises(KeyError):
-        series.column("entropy")
-
-
-def test_series_validates_grid_and_lengths():
-    with pytest.raises(ValueError):
-        obs.ObservableSeries(taus=(0.0, 0.0, 1.0), values={})
-    with pytest.raises(ValueError):
-        obs.ObservableSeries(taus=(0.0, 1.0), values={"trace": (1.0,)})
