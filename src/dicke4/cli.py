@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 failed verification or solver breakdown, 2 usage
 error.  Floats are serialized with repr (shortest round-trip) so identical
 configurations produce byte-identical files; CSV uses ',' separators, '.'
 decimals and LF line endings.  The environment variable DICKE4_ORACLE_LIMIT
-overrides the dense-reconstruction size cap.
+overrides the dense-reconstruction size cap; a value that is not an integer
+>= 1 is a usage error.
 """
 
 from __future__ import annotations

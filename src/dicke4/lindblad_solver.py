@@ -28,11 +28,13 @@ any Z or tau.  The paper's factorized form e^(-Z tau/2) exp(a Q+) exp(b Q3)
 exp(c Q-) is an LDU factorization of the same map.
 
 `trajectory` walks a tau grid by exact semigroup steps,
-M_n(a + b) = M_n(b) M_n(a): it builds the maps once per distinct step length
-and multiplies only the slabs that are nonzero at the start, since a slab
-that starts at zero stays zero.  A Dicke start has one such slab.  There is
-no truncation error; rounding drifts by about one ulp per step.
-`propagate_bch` and `evolve` are its one-step case.
+M_n(a + b) = M_n(b) M_n(a).  It reads the whole grid and checks every step
+length first, then grows one chain for all distinct lengths at once (L of
+them stacked on a trailing axis, L (n+1)^2 floats at slab n), and each step
+multiplies only the slabs that are nonzero at the start, since a slab that
+starts at zero stays zero.  A Dicke start has one such slab.  There is no
+truncation error; rounding drifts by about one ulp per step.
+`propagate_bch` and `evolve` are its one-step case, with 2-D maps.
 """
 
 from __future__ import annotations
@@ -125,13 +127,17 @@ def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
     return (sp.diags(diag) + (1.0 - p.s) * qm + p.s * qp).tocsr()
 
 
-def _slab_maps(p: ModelParams, tau: float, live) -> dict:
-    """{n: (M_n(tau), e^(-ctilde m tau))} for the slab sizes n in `live`,
-    growing the chain M_0, M_1, ... one site at a time up to the largest."""
-    f = _check_domain(tau)
+def _slab_maps(p: ModelParams, lengths, live) -> dict:
+    """{(k, n): (M_n(tau), e^(-ctilde m tau))} for tau = lengths[k] and the
+    slab sizes n in `live`, each M_n contiguous.  One chain M_0, M_1, ... is
+    grown a site at a time up to the largest n, with the lengths on a
+    trailing axis; a single length keeps 2-D arrays."""
+    f = [_check_domain(tau) for tau in lengths]
+    tail = (len(f),) if len(f) > 1 else ()
+    f = np.array(f) if tail else f[0]
     decay, pump = (1.0 - p.s) * f, p.s * f
     maps = {}
-    mat = np.ones((1, 1))
+    mat = np.ones((1, 1) + tail)
     for n in range(max(live, default=-1) + 1):
         if n:
             # Append one site: it holds u in columns 0..n-1 and d in the
@@ -139,7 +145,7 @@ def _slab_maps(p: ModelParams, tau: float, live) -> dict:
             # 1 - decay would shift every column sum the same way, and a
             # trajectory reuses one map at every step, so the shift would
             # add up in the trace.
-            grown = np.zeros((n + 1, n + 1))
+            grown = np.zeros((n + 1, n + 1) + tail)
             moved = decay * mat
             grown[:-1, :-1] = mat - moved
             grown[1:, :-1] += moved
@@ -148,7 +154,9 @@ def _slab_maps(p: ModelParams, tau: float, live) -> dict:
             grown[1:, -1] += mat[:, -1] - raised
             mat = grown
         if n in live:
-            maps[n] = mat, math.exp(-p.ctilde * (p.z - n) * tau)
+            stack = np.moveaxis(mat, -1, 0).copy() if tail else [mat]
+            for k, tau in enumerate(lengths):
+                maps[k, n] = stack[k], math.exp(-p.ctilde * (p.z - n) * tau)
     return maps
 
 
@@ -157,39 +165,38 @@ def trajectory(v: SymmetricVector, p: ModelParams, taus):
 
     Each state is the previous one carried over tau_k - tau_(k-1) by the
     semigroup law M_n(a + b) = M_n(b) M_n(a); when tau decreases the walk
-    starts again from `v`, with an empty cache.  The slab maps are built once
-    per distinct step length (a dict keyed by the exact float), so every
-    step uses the map of its own length.  Only the slabs that are nonzero
-    in `v` are multiplied; the others stay exactly zero.
+    starts again from `v`.  `taus` is read in full before the first state:
+    every step length is worked out and checked first, so a tau that is
+    negative or not finite raises ValueError before any state is yielded.
+    The slab maps of all distinct step lengths are then built in one chain,
+    and every step only multiplies the slabs that are nonzero in `v`; the
+    others stay exactly zero.
 
-    The cached maps hold sum (n+1)^2 floats over the live slabs per distinct
-    length: for a full vector about 0.6 MB at Z = 60 and 22 MB at Z = 200,
-    for a Dicke start (Z+1)^2 floats.  A 200-point `np.linspace` grid has
-    about 10 distinct lengths.  Rounding drifts by about one ulp per step.
-    A tau that is negative or not finite raises ValueError when the walk
-    reaches it.
+    The chain holds L (n+1)^2 floats at slab n for L distinct lengths, 3.5 MB
+    at Z = 200 with the 11 lengths of a 200-point `np.linspace` grid.  The
+    kept maps hold L sum (n+1)^2 floats over the live slabs: L (Z+1)^2 for a
+    Dicke start, about 0.6 L MB at Z = 60 and 22 L MB at Z = 200 for a full
+    vector.  Rounding drifts by about one ulp per step.
     """
     if v.z != p.z:
         raise ValueError(f"state has z={v.z}, params have z={p.z}")
     w0 = v.coeffs.astype(np.result_type(v.coeffs.dtype, float), copy=False)
     starts, table = _slab_table(p.z)
-    slabs = [table[k] for k in np.flatnonzero(np.logical_or.reduceat(w0 != 0, starts))]
-    live = {n for n, _ in slabs}
-    cache = {}
-    w, prev = w0, 0.0
-    for tau in taus:
-        tau = float(tau)
-        if tau < prev:
-            w, prev, cache = w0, 0.0, {}
-        step = tau - prev
-        if step not in cache:
-            cache[step] = _slab_maps(p, step, live)
-        maps = cache[step]
-        out = np.zeros_like(w0)
+    slabs = [table[k] for k in np.logical_or.reduceat(w0 != 0, starts).nonzero()[0]]
+    walk, index, prev = [], {}, 0.0
+    for tau in map(float, taus):
+        restart = tau < prev
+        step = tau - (0.0 if restart else prev)
+        walk.append((restart, index.setdefault(step, len(index))))
+        prev = tau
+    maps = _slab_maps(p, list(index), {n for n, _ in slabs})
+    w = w0
+    for restart, k in walk:
+        # np.zeros is calloc'd: the pages of slabs that stay zero are never touched
+        last, w = w0 if restart else w, np.zeros(len(w0), w0.dtype)
         for n, sl in slabs:
-            mat, coherence = maps[n]
-            out[sl] = (mat @ w[sl].reshape(n + 1, -1)).ravel() * coherence
-        w, prev = out, tau
+            mat, coherence = maps[k, n]
+            w[sl] = (mat @ last[sl].reshape(n + 1, -1)).ravel() * coherence
         yield SymmetricVector(p.z, w)
 
 

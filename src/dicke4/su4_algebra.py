@@ -203,7 +203,10 @@ _ORACLE_LIMIT_DEFAULT = 10
 
 def oracle_limit() -> int:
     """Site-count cap for anything that materializes 2^Z-dimensional arrays."""
-    return int(os.environ.get(ORACLE_LIMIT_ENV, _ORACLE_LIMIT_DEFAULT))
+    raw = os.environ.get(ORACLE_LIMIT_ENV, str(_ORACLE_LIMIT_DEFAULT))
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{ORACLE_LIMIT_ENV}={raw!r} must be an integer >= 1")
+    return int(raw)
 
 
 def _check_dense_size(z: int) -> None:

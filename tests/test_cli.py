@@ -289,6 +289,15 @@ def test_oracle_limit_env_blocks_dense_paths(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_malformed_oracle_limit_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv(su4.ORACLE_LIMIT_ENV, raw)
+    code, out, err = run(capsys, "propagate", "--initial", "bell",
+                         "--observables", "entropy")
+    assert (code, out) == (2, "")
+    assert err == f"error: {su4.ORACLE_LIMIT_ENV}={raw!r} must be an integer >= 1\n"
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_passes_quickly(capsys):

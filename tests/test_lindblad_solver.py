@@ -256,15 +256,57 @@ def test_trajectory_drift_over_ten_thousand_steps(z):
 
 
 def test_trajectory_builds_maps_once_per_step_length(monkeypatch):
-    built = []
+    # one chain per walk, stacked over every distinct step length
+    calls = []
     original = ls._slab_maps
     monkeypatch.setattr(ls, "_slab_maps",
-                        lambda p, tau, live: built.append(tau) or original(p, tau, live))
+                        lambda p, lengths, live: calls.append(lengths) or original(p, lengths, live))
     v = _complex_vector(6, np.random.default_rng(73))
     taus = np.linspace(0.0, 10.0, 200)
     list(ls.trajectory(v, ls.ModelParams(z=6, s=0.3), taus))
-    assert sorted(built) == sorted(set(np.diff(taus).tolist()) | {0.0})
-    assert len(built) == 11         # ten step lengths and the zero first step
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(set(np.diff(taus).tolist()) | {0.0})
+    assert len(calls[0]) == 11      # ten step lengths and the zero first step
+
+
+def _one_length_chain(p, tau, live):
+    """{n: (M_n(tau), e^(-ctilde m tau))}, grown for one step length at a
+    time: the reference for the stacked chain."""
+    f = -math.expm1(-tau)
+    decay, pump = (1.0 - p.s) * f, p.s * f
+    maps = {}
+    mat = np.ones((1, 1))
+    for n in range(max(live) + 1):
+        if n:
+            grown = np.zeros((n + 1, n + 1))
+            moved = decay * mat
+            grown[:-1, :-1] = mat - moved
+            grown[1:, :-1] += moved
+            raised = pump * mat[:, -1]
+            grown[:-1, -1] = raised
+            grown[1:, -1] += mat[:, -1] - raised
+            mat = grown
+        if n in live:
+            maps[n] = mat, math.exp(-p.ctilde * (p.z - n) * tau)
+    return maps
+
+
+@pytest.mark.parametrize("z", [*range(1, 13), 40])
+def test_stacked_slab_maps_match_the_one_length_chain_exactly(z):
+    lengths = [0.0, 1e-3, 0.7, 40.0, 800.0]
+    for s in (0.0, 0.3, 1.0):
+        p = ls.ModelParams(z=z, s=s, ctilde=0.8)
+        for live in ({z}, {0}, set(range(z + 1))):
+            for chosen in (lengths, lengths[2:3]):      # stacked, and one length
+                maps = ls._slab_maps(p, chosen, live)
+                assert set(maps) == {(k, n) for k in range(len(chosen)) for n in live}
+                for k, tau in enumerate(chosen):
+                    want = _one_length_chain(p, tau, live)
+                    for n in live:
+                        mat, coherence = maps[k, n]
+                        assert mat.shape == (n + 1, n + 1) and mat.flags.c_contiguous
+                        assert np.array_equal(mat, want[n][0]), (s, tau, n)
+                        assert coherence == want[n][1], (s, tau, n)
 
 
 @pytest.mark.parametrize("label", [(10, 3, 0), (0, 0, 10)], ids=["dicke", "config:0,0,20,0"])
@@ -279,11 +321,9 @@ def test_trajectory_keeps_zero_slabs_exactly_zero(label):
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-def test_trajectory_rejects_a_bad_tau_when_it_reaches_it(bad):
+def test_trajectory_rejects_a_bad_tau_before_yielding_any_state(bad):
     v = SymmetricVector.from_components(3, {(Fraction(3, 2), Fraction(1, 2), 0): 1.0})
     walk = ls.trajectory(v, ls.ModelParams(z=3, s=0.3), [0.0, 1.0, bad, 2.0])
-    next(walk)
-    next(walk)
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         next(walk)
 

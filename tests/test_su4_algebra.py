@@ -1,6 +1,7 @@
 """Word-level algebra: structure constants, duality, adjoints, dense embedding."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,14 @@ def test_oracle_limit_env_override(monkeypatch):
         su4.to_dense("udu")
     monkeypatch.delenv(su4.ORACLE_LIMIT_ENV)
     assert su4.oracle_limit() == 10
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0", "2.5", ""])
+def test_malformed_oracle_limit_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv(su4.ORACLE_LIMIT_ENV, raw)
+    message = f"{su4.ORACLE_LIMIT_ENV}={raw!r} must be an integer >= 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        su4.oracle_limit()
 
 
 def test_qtilde_diagonal_on_words():
