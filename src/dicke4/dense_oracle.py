@@ -11,7 +11,8 @@ pumping weight s, dephasing strength ctilde = C/B):
 
 Ket ordering: |b_1 ... b_Z> with b=1 before b=0 at each site, so index 0 is
 |1...1> and site 1 is the most significant bit.  Dense work is capped by
-`oracle_limit` (env DICKE4_ORACLE_LIMIT, default 10).
+`oracle_limit` (env DICKE4_ORACLE_LIMIT, default 10).  scipy is imported
+inside the functions that use it, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .lindblad_solver import ModelParams, _check_domain
 from .su4_algebra import _check_dense_size
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # single-site matrices in the (|1>, |0>) basis
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -43,6 +46,7 @@ _SITE_MATS = {
 @lru_cache(maxsize=None)
 def site_operator(z: int, site: int, name: str) -> sp.csr_matrix:
     """Sparse single-site operator embedded at `site` (1-based, leftmost)."""
+    import scipy.sparse as sp
     _check_dense_size(z)
     if not 1 <= site <= z:
         raise ValueError(f"site {site} outside 1..{z}")
@@ -51,6 +55,12 @@ def site_operator(z: int, site: int, name: str) -> sp.csr_matrix:
         blk = sp.csr_matrix(_SITE_MATS[name]) if j == site else sp.identity(2, format="csr")
         op = sp.kron(op, blk, format="csr")
     return op
+
+
+@lru_cache(maxsize=None)
+def _dense_site_operator(z: int, site: int, name: str) -> np.ndarray:
+    """`site_operator` as a dense array, for right-hand factors."""
+    return site_operator(z, site, name).toarray()
 
 
 # left factor, right factor, prefactor of each superoperator's site term
@@ -69,21 +79,16 @@ def superoperator_dense(name: str, z: int, rho: np.ndarray) -> np.ndarray:
     the defining single-site sandwiches."""
     _check_dense_size(z)
     out = np.zeros_like(rho, dtype=complex)
-    if name == "Q3":
+    if name in ("Q3", "Sigma3"):
+        sign = 1.0 if name == "Q3" else -1.0
         for i in range(1, z + 1):
             s3 = site_operator(z, i, "s3")
-            out += 0.25 * (s3 @ rho + rho @ s3)
-        return out
-    if name == "Sigma3":
-        for i in range(1, z + 1):
-            s3 = site_operator(z, i, "s3")
-            out += 0.25 * (s3 @ rho - rho @ s3)
+            out += 0.25 * (s3 @ rho + sign * (rho @ _dense_site_operator(z, i, "s3")))
         return out
     left, right, pref = _SANDWICH[name]
     for i in range(1, z + 1):
         lmat = site_operator(z, i, left)
-        rmat = site_operator(z, i, right)
-        out += pref * (lmat @ rho @ rmat.toarray())
+        out += pref * (lmat @ rho @ _dense_site_operator(z, i, right))
     return out
 
 
@@ -92,36 +97,32 @@ def lindblad_apply(z: int, s: float, rho: np.ndarray, ctilde: float = 0.5) -> np
     _check_dense_size(z)
     out = np.zeros_like(rho, dtype=complex)
     for i in range(1, z + 1):
-        spi = site_operator(z, i, "sp")
-        smi = site_operator(z, i, "sm")
-        s3i = site_operator(z, i, "s3")
-        up = site_operator(z, i, "up")     # sp*sm
-        dn = site_operator(z, i, "dn")     # sm*sp
-        out -= 0.5 * (1.0 - s) * (up @ rho + rho @ up - 2.0 * (smi @ rho @ spi.toarray()))
-        out -= 0.5 * s * (dn @ rho + rho @ dn - 2.0 * (spi @ rho @ smi.toarray()))
+        # up = sp*sm, dn = sm*sp
+        spi, smi, s3i, up, dn = (site_operator(z, i, k) for k in ("sp", "sm", "s3", "up", "dn"))
+        spd, smd, s3d = (_dense_site_operator(z, i, k) for k in ("sp", "sm", "s3"))
+        out -= 0.5 * (1.0 - s) * (up @ rho + rho @ up - 2.0 * (smi @ rho @ spd))
+        out -= 0.5 * s * (dn @ rho + rho @ dn - 2.0 * (spi @ rho @ smd))
         if ctilde != 0.5:
-            out -= (2.0 * ctilde - 1.0) / 4.0 * (rho - s3i @ rho @ s3i.toarray())
+            out -= (2.0 * ctilde - 1.0) / 4.0 * (rho - s3i @ rho @ s3d)
     return out
 
 
 def _kron_lr(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
     # row-major vec: vec(A P B) = (A kron B^T) vec(P)
+    import scipy.sparse as sp
     return sp.kron(a, b.T, format="csr")
 
 
 @lru_cache(maxsize=None)
 def liouvillian_sparse(z: int, s: float, ctilde: float = 0.5) -> sp.csr_matrix:
     """Master-equation generator on row-major vectorized 2^Z x 2^Z matrices."""
+    import scipy.sparse as sp
     _check_dense_size(z)
     dim = 2 ** z
     eye = sp.identity(dim, format="csr")
     lv = sp.csr_matrix((dim * dim, dim * dim))
     for i in range(1, z + 1):
-        spi = site_operator(z, i, "sp")
-        smi = site_operator(z, i, "sm")
-        s3i = site_operator(z, i, "s3")
-        up = site_operator(z, i, "up")
-        dn = site_operator(z, i, "dn")
+        spi, smi, s3i, up, dn = (site_operator(z, i, k) for k in ("sp", "sm", "s3", "up", "dn"))
         lv = lv - 0.5 * (1.0 - s) * (
             _kron_lr(up, eye) + _kron_lr(eye, up) - 2.0 * _kron_lr(smi, spi))
         lv = lv - 0.5 * s * (
@@ -137,6 +138,7 @@ def dense_propagate(z: int, s: float, rho0: np.ndarray, tau: float,
     """Evolve a dense matrix to time tau (B=1 units).  The arguments are
     validated as the sector solver's are (`ModelParams`, tau finite and
     >= 0); the dynamics are built from Pauli matrices alone."""
+    from scipy.sparse.linalg import expm_multiply
     ModelParams(z=z, s=s, ctilde=ctilde)
     _check_dense_size(z)
     dim = 2 ** z

@@ -34,7 +34,9 @@ them stacked on a trailing axis, L (n+1)^2 floats at slab n), and each step
 multiplies only the slabs that are nonzero at the start, since a slab that
 starts at zero stays zero.  A Dicke start has one such slab.  There is no
 truncation error; rounding drifts by about one ulp per step.
-`propagate_bch` and `evolve` are its one-step case, with 2-D maps.
+`propagate_bch` and `evolve` are its one-step case, with 2-D maps.  They
+need numpy only; the oracles, `spectrum` and the collective model import
+scipy when called.
 """
 
 from __future__ import annotations
@@ -44,13 +46,15 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from .symmetric_sector import (SymmetricVector, _slab_table, config_from_qn,
                                qnum, sector_dimension)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,7 @@ def ladder_matrices(z: int):
     sends it to beta + 1 with weight n - beta = q + q3: a tridiagonal in beta
     times the identity in delta.  Entries are the exact integer counts.
     """
+    import scipy.sparse as sp
     n, beta, width = _slab_rows(z)
     dim = len(n)
     slot = np.arange(dim)
@@ -118,6 +123,7 @@ def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
     The diagonal reads q = n/2 and q3 = n/2 - beta off each slot's slab n
     and row beta; the off-diagonal is (1-s) Q- + s Q+ from `ladder_matrices`.
     """
+    import scipy.sparse as sp
     n, beta, _ = _slab_rows(p.z)
     q = 0.5 * n
     qp, qm = ladder_matrices(p.z)
@@ -249,6 +255,7 @@ def spectrum(p: ModelParams):
     replaced by unit trace; it carries the binomial weights
     C(Z, Z/2+q3) s^(Z/2+q3) (1-s)^(Z/2-q3).
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     block = dicke_block_matrix(p)
     vals = eigvalsh_tridiagonal(np.diag(block),
                                 np.sqrt(np.diag(block, 1) * np.diag(block, -1)))
@@ -315,6 +322,7 @@ def truncated_dicke_propagate(z: int, s: float, initial, taus):
     zero stay zero; the others step along the sorted taus by the exact
     exponential of each distinct step length.
     """
+    from scipy.linalg import expm
     ModelParams(z=z, s=s)   # validates z and s
     n = z + 1
     if isinstance(initial, np.ndarray):

@@ -640,11 +640,53 @@ def test_truncated_model_equals_per_tau_band_exponential(z):
     assert np.abs(np.einsum("tii->t", got) - 1.0).max() <= 1e-12
 
 
-def test_package_import_loads_no_ode_solver():
+def _run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout."""
     src = str(Path(ls.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, dicke4; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True).stdout
-    assert out == "False\n"
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_package_import_loads_no_ode_solver():
+    # The product path needs numpy only: importing the package and the CLI
+    # and running symmetric propagations (with dense read-outs) load no scipy.
+    out = _run_fresh("""if True:
+        import contextlib, io, sys
+        import dicke4, dicke4.cli
+        from dicke4 import cli
+        loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+        print(loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["propagate", "--initial", "dicke:0", "--z", "20",
+                               "--model", "symmetric", "--format", "json"]),
+                     cli.main(["propagate", "--initial", "bell", "--steps", "5",
+                               "--observables", "trace,inversion,entropy"])]
+        v = dicke4.extract_coefficients(6, dicke4.SymmetricVector.from_components(
+            6, {(3, 0, 0): 1.0}).to_dense())
+        dicke4.von_neumann_entropy(dicke4.evolve(v, dicke4.ModelParams(z=6, s=0.3), 0.5))
+        print(codes, loaded())
+    """)
+    assert out == "[]\n[0, 0] []\n"
+
+
+def test_functions_that_import_scipy_run_in_a_fresh_interpreter():
+    # Each of these imports scipy itself, and some are cached; a fresh
+    # interpreter makes a leftover module-level scipy name fail here.
+    out = _run_fresh("""if True:
+        import numpy as np
+        from dicke4 import dense_oracle as do, lindblad_solver as ls
+        p = ls.ModelParams(z=2, s=0.3, ctilde=0.8)
+        rho = np.eye(4, dtype=complex) / 4
+        ls.ladder_matrices(2)
+        ls.liouvillian_matrix(p)
+        print(np.rint(ls.spectrum(p)[0]).astype(int))
+        ls.truncated_dicke_propagate(2, 0.3, (1, 1), [0.0, 0.5])
+        do.superoperator_dense("Q3", 2, rho)
+        do.superoperator_dense("Q+", 2, rho)
+        do.lindblad_apply(2, 0.3, rho, ctilde=0.8)
+        do.liouvillian_sparse(2, 0.3, 0.8)
+        print(np.trace(do.dense_propagate(2, 0.3, rho, 0.5, ctilde=0.8)).real.round(12))
+    """)
+    assert out == "[ 0 -1 -2]\n1.0\n"
