@@ -19,8 +19,9 @@ from .observables import (atomic_inversion, bell_initial, bell_weights_reference
 from .symmetric_sector import (Config, QuantumNumbers, SymmetricBasis,
                                SymmetricVector, basis, config_from_qn,
                                embed_dense, enumerate_basis,
-                               extract_coefficients, multiplicity,
-                               qn_from_config, qnum, sector_dimension)
+                               extract_coefficients, hermiticity_defect,
+                               multiplicity, qn_from_config, qnum,
+                               sector_dimension)
 from .verification import CheckResult, run_all
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "SymmetricVector", "atomic_inversion", "basis", "bell_initial",
     "bell_weights_reference", "block_eigenmodes", "config_from_qn", "embed_dense",
     "enumerate_basis", "extract_coefficients", "evolve", "ghz_initial",
-    "ghz_weights_reference", "liouvillian_matrix", "matrix_entropy", "multiplicity",
+    "ghz_weights_reference", "hermiticity_defect", "liouvillian_matrix", "matrix_entropy", "multiplicity",
     "propagate_bch", "propagate_decay_closed_form", "qn_from_config", "qnum",
     "run_all", "sector_dimension", "spectrum", "trajectory",
     "truncated_dicke_propagate", "von_neumann_entropy",

@@ -99,9 +99,10 @@ def lindblad_apply(z: int, s: float, rho: np.ndarray, ctilde: float = 0.5) -> np
     for i in range(1, z + 1):
         # up = sp*sm, dn = sm*sp
         spi, smi, s3i, up, dn = (site_operator(z, i, k) for k in ("sp", "sm", "s3", "up", "dn"))
-        spd, smd, s3d = (_dense_site_operator(z, i, k) for k in ("sp", "sm", "s3"))
-        out -= 0.5 * (1.0 - s) * (up @ rho + rho @ up - 2.0 * (smi @ rho @ spd))
-        out -= 0.5 * s * (dn @ rho + rho @ dn - 2.0 * (spi @ rho @ smd))
+        spd, smd, s3d, upd, dnd = (_dense_site_operator(z, i, k)
+                                   for k in ("sp", "sm", "s3", "up", "dn"))
+        out -= 0.5 * (1.0 - s) * (up @ rho + rho @ upd - 2.0 * (smi @ rho @ spd))
+        out -= 0.5 * s * (dn @ rho + rho @ dnd - 2.0 * (spi @ rho @ smd))
         if ctilde != 0.5:
             out -= (2.0 * ctilde - 1.0) / 4.0 * (rho - s3i @ rho @ s3d)
     return out

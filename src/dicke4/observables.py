@@ -2,8 +2,12 @@
 
 Read-outs: trace, atomic inversion <S3> = <Q3>, von Neumann entropy.  Only
 the unit-trace block (q = Z/2, sigma3 = 0), the leading Z+1 slots, contributes
-to any trace, so the inversion is a weighted sum over those slots alone; the
-entropy goes through dense reconstruction and is capped by the oracle limit.
+to any trace, so the inversion is a weighted sum over those slots alone.  The
+entropy reads Hermiticity from the sector vector (`hermiticity_defect`) and
+diagonalizes the dense matrix, capped by the oracle limit: as float64, with the
+real symmetric eigensolver, when no coefficient has an imaginary part, else as
+complex.  `matrix_entropy` picks its solver the same way.  A non-finite,
+non-Hermitian or non-positive state raises ArithmeticError.
 
 Scenarios: the two-site Bell triplet (|10>+|01>)/sqrt(2) and the three-site
 GHZ state (|111>-|000>)/sqrt(2), both of which stay inside a handful of
@@ -19,7 +23,9 @@ from typing import Tuple
 import numpy as np
 
 from .lindblad_solver import ModelParams, _check_domain
-from .symmetric_sector import SymmetricVector, qnum
+from .su4_algebra import _check_dense_size
+from .symmetric_sector import (SymmetricVector, _dense_layout, _real_if_exact,
+                               hermiticity_defect, qnum)
 
 
 def atomic_inversion(v: SymmetricVector) -> float:
@@ -29,16 +35,18 @@ def atomic_inversion(v: SymmetricVector) -> float:
     return float(np.real(np.sum(v.coeffs[:v.z + 1] * q3)))
 
 
-def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
-    """Entropy of a density matrix given densely.  Hermiticity is required
-    to 1e-10; eigenvalues below -1e-10 are an error, small negatives from
-    roundoff are clamped to zero."""
-    defect = np.abs(rho - rho.conj().T).max()
-    if defect > 1e-10:
-        raise ArithmeticError(f"matrix is not Hermitian (defect {defect:.3e})")
-    evals = np.linalg.eigvalsh(rho)
+def _check_hermitian(defect: float) -> None:
+    if not defect <= 1e-10:      # a NaN defect fails this test too
+        raise ArithmeticError("matrix has non-finite entries" if math.isnan(defect) else
+                              f"matrix is not Hermitian (defect {defect:.3e})")
+
+
+def _entropy_of_spectrum(evals: np.ndarray, base: float) -> float:
+    """Entropy from a spectrum; the checks are `matrix_entropy`'s."""
+    if not np.isfinite(evals).all():
+        raise ArithmeticError("non-finite eigenvalue in the spectrum")
     low = float(evals.min(initial=0.0))
-    if low < -1e-10:
+    if not low >= -1e-10:
         raise ArithmeticError(f"negative eigenvalue {low:.3e} in the spectrum")
     evals = np.clip(evals, 0.0, None)
     nz = evals[evals > 0.0]
@@ -46,9 +54,29 @@ def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
     return 0.0 if out == 0.0 else out   # avoid -0.0 in serialized output
 
 
+def dense_eigenvalues(v: SymmetricVector) -> np.ndarray:
+    """Eigenvalues of the dense matrix of a Hermitian v, from the real
+    symmetric solver when no coefficient has an imaginary part."""
+    _check_dense_size(v.z)
+    slots, mult = _dense_layout(v.z)
+    return np.linalg.eigvalsh(_real_if_exact(v.coeffs / mult)[slots])
+
+
+def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
+    """Entropy of a density matrix given densely.  Hermiticity is required
+    to 1e-10; non-finite eigenvalues and ones below -1e-10 are an error,
+    small negatives from roundoff are clamped to zero."""
+    rho = _real_if_exact(np.asarray(rho))
+    with np.errstate(invalid="ignore"):      # an inf entry gives an inf or NaN defect
+        _check_hermitian(float(np.abs(rho - rho.conj().T).max()))
+    return _entropy_of_spectrum(np.linalg.eigvalsh(rho), base)
+
+
 def von_neumann_entropy(v: SymmetricVector, base: float = 2.0) -> float:
-    """-Tr rho log rho (log base 2 by default), via dense reconstruction."""
-    return matrix_entropy(v.to_dense(), base=base)
+    """-Tr rho log rho (log base 2 by default), with Hermiticity read from the
+    sector vector and the spectrum from `dense_eigenvalues`."""
+    _check_hermitian(hermiticity_defect(v))
+    return _entropy_of_spectrum(dense_eigenvalues(v), base)
 
 
 def bell_initial() -> SymmetricVector:

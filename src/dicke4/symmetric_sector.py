@@ -126,9 +126,25 @@ def _dense_layout(z: int):
         beta = np.bitwise_count(bits & bits[r])
         n = z - pop[r] - pop + 2 * beta
         slots[r] = _slab_offset(z, n) + beta * (z + 1 - n) + pop[r] - beta
-    mult = np.bincount(slots.ravel(), minlength=sector_dimension(z)).astype(float)
-    slots.flags.writeable = mult.flags.writeable = False
-    return slots, mult
+    slots.flags.writeable = False
+    return slots, _slot_pairing(z)[0]
+
+
+@lru_cache(maxsize=None)
+def _slot_pairing(z: int):
+    """Each slot's multiplicity C(Z, n) C(n, beta) C(m, delta), m = Z - n, as
+    a float (exact while 4^Z < 2^53, Z <= 26; inf from Z = 519), and its
+    dual slot (delta -> m - delta within its slab row), the slot of the
+    transposed dense entries; O(dimension), with no dense layout."""
+    mult = np.empty(sector_dimension(z))
+    dual = np.empty(sector_dimension(z), dtype=np.intp)
+    for n, sl in _slab_table(z)[1]:
+        rows = np.array([math.comb(n, b) for b in range(n + 1)], dtype=float)
+        cols = np.array([math.comb(z - n, d) for d in range(z - n + 1)], dtype=float)
+        mult[sl] = (float(math.comb(z, n)) * np.outer(rows, cols)).ravel()
+        dual[sl] = np.arange(sl.start, sl.stop).reshape(n + 1, -1)[:, ::-1].ravel()
+    mult.flags.writeable = dual.flags.writeable = False
+    return mult, dual
 
 
 # ladder superoperator -> (replaced factor, replacement factor)
@@ -233,6 +249,12 @@ def embed_dense(z: int, qn: QuantumNumbers) -> np.ndarray:
     return SymmetricVector.from_components(z, {qn: 1.0}).to_dense()
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """The real part of a when no entry has an imaginary part (a NaN one
+    counts as one), else a itself."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def _slot_sums_and_defect(z: int, rho: np.ndarray):
     """Sums of rho over each slot, and the largest entrywise deviation of rho
     from its slot average.  The slots are the S_Z orbits of dense entries, so
@@ -242,9 +264,11 @@ def _slot_sums_and_defect(z: int, rho: np.ndarray):
         raise ValueError(f"expected a {dim}x{dim} matrix for z={z}")
     slots, mult = _dense_layout(z)
     flat = slots.ravel()
+    rho = _real_if_exact(rho)
     with np.errstate(invalid="ignore"):      # inf entries read as a NaN defect
-        sums = (np.bincount(flat, weights=rho.real.ravel(), minlength=len(mult))
-                + 1j * np.bincount(flat, weights=rho.imag.ravel(), minlength=len(mult)))
+        sums = np.bincount(flat, weights=rho.real.ravel(), minlength=len(mult))
+        if np.iscomplexobj(rho):
+            sums = sums + 1j * np.bincount(flat, weights=rho.imag.ravel(), minlength=len(mult))
         resid = (sums / mult)[slots]
         resid -= rho
     return sums, float(np.abs(resid, out=resid).real.max())
@@ -254,6 +278,17 @@ def permutation_defect(z: int, rho: np.ndarray) -> float:
     """Largest entrywise deviation of rho from invariance under site
     permutations, measured against its average over each orbit."""
     return _slot_sums_and_defect(z, rho)[1]
+
+
+def hermiticity_defect(v: SymmetricVector) -> float:
+    """Largest entry of |rho - rho^dagger| for the dense matrix rho of v, read
+    from the slots: entries (r, c) and (c, r) hold a slot and its dual, which
+    share a multiplicity.  Equal to the dense value bit for bit, in
+    O(dimension); NaN when a coefficient is NaN."""
+    mult, dual = _slot_pairing(v.z)
+    w = v.coeffs / mult
+    with np.errstate(invalid="ignore"):      # inf - inf reads as a NaN defect
+        return float(np.abs(w - w[dual].conj()).max())
 
 
 @dataclass
@@ -307,7 +342,9 @@ def extract_coefficients(z: int, rho: np.ndarray) -> SymmetricVector:
     """Expand a permutation-symmetric density operator over the sector basis.
 
     Uses the dual pairing: M times the trace against the sigma3-flipped dual
-    of a basis state is the sum of rho over that state's own entries.
+    of a basis state is the sum of rho over that state's own entries.  The
+    coefficients are float64 when no entry of rho has an imaginary part, and
+    complex otherwise.
     """
     sums, defect = _slot_sums_and_defect(z, rho)
     if not defect <= _SYMMETRY_TOL:      # a NaN defect fails this test too

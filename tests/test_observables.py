@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicke4 import dense_oracle as do
 from dicke4 import observables as obs
 from dicke4.lindblad_solver import ModelParams, evolve
-from dicke4.symmetric_sector import SymmetricVector, qnum
+from dicke4.symmetric_sector import SymmetricVector, extract_coefficients, qnum
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0,
                         allow_nan=False, allow_infinity=False)
@@ -54,6 +55,68 @@ def test_entropy_rejects_unphysical_matrices():
 def test_entropy_clamps_tiny_negative_eigenvalues():
     rho = np.diag([1.0 + 5e-11, -5e-11])
     assert obs.matrix_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_entropy_rejects_nan_and_inf():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArithmeticError):
+            obs.matrix_entropy(np.full((2, 2), bad))
+        with pytest.raises(ArithmeticError):
+            obs.matrix_entropy(np.diag([1.0, bad]).astype(complex))
+        v = SymmetricVector.from_components(3, {qnum(Fraction(3, 2), Fraction(3, 2), 0): 1.0})
+        v.coeffs[5] = bad
+        with pytest.raises(ArithmeticError):
+            obs.von_neumann_entropy(v)
+    v = SymmetricVector.from_components(3, {qnum(Fraction(3, 2), Fraction(3, 2), 0): 1.0})
+    v.coeffs = v.coeffs.astype(complex)
+    v.coeffs[0] += complex(0, math.nan)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        obs.von_neumann_entropy(v)
+
+
+def _complex_solver_entropy(rho):
+    evals = np.clip(np.linalg.eigvalsh(rho.astype(complex)), 0.0, None)
+    nz = evals[evals > 0.0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def _entropy_cases():
+    rng = np.random.default_rng(15)
+    for z in range(1, 9):
+        for q3 in (Fraction(z, 2), Fraction(z, 2) - z // 2):
+            v0 = SymmetricVector.from_components(z, {(Fraction(z, 2), q3, 0): 1.0})
+            p = ModelParams(z=z, s=float(rng.uniform(0.2, 0.8)),
+                            ctilde=float(rng.uniform(0.5, 1.5)))
+            yield f"dicke z={z} q3={q3}", evolve(v0, p, float(rng.uniform(0.1, 2.0)))
+        amp = rng.normal(size=z + 1) + 1j * rng.normal(size=z + 1)
+        amp /= np.linalg.norm(amp)
+        psi = sum(a * do.dicke_state_dense(z, Fraction(z, 2) - k) for k, a in enumerate(amp))
+        yield f"random-symmetric z={z}", extract_coefficients(z, np.outer(psi, psi.conj()))
+        v0 = SymmetricVector.from_components(z, {(Fraction(z, 2), Fraction(z, 2), 0): 1.0})
+        v = evolve(v0, ModelParams(z=z, s=0.3), 0.9)
+        yield f"float cast to complex z={z}", SymmetricVector(z, v.coeffs.astype(complex))
+
+
+def test_sector_entropy_matches_the_complex_dense_solver():
+    for name, v in _entropy_cases():
+        got = obs.von_neumann_entropy(v)
+        rho = v.to_dense()
+        assert abs(got - obs.matrix_entropy(rho)) <= 1e-12, name
+        assert abs(got - _complex_solver_entropy(rho)) <= 1e-12, name
+
+
+def test_entropy_takes_the_real_solver_for_real_values(monkeypatch):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.dtype) or eigvalsh(a))
+    real = evolve(SymmetricVector.from_components(4, {(2, 1, 0): 1.0}), ModelParams(z=4, s=0.4), 0.5)
+    cplx = SymmetricVector(4, real.coeffs.astype(complex))
+    obs.von_neumann_entropy(real)
+    obs.von_neumann_entropy(cplx)
+    obs.matrix_entropy(cplx.to_dense())
+    psi = np.array([1.0, 1j, 1j, 0.0]) / math.sqrt(3.0)
+    obs.von_neumann_entropy(extract_coefficients(2, np.outer(psi, psi.conj())))
+    assert seen == [np.float64] * 3 + [np.complex128]
 
 
 def test_sector_entropy_single_site_mixture():

@@ -230,6 +230,56 @@ def test_extract_inverts_embed():
             assert np.abs(v.coeffs - expect).max() <= 1e-12
 
 
+def test_extract_returns_float_coefficients_for_a_real_valued_matrix():
+    z = 4
+    rng = np.random.default_rng(11)
+    dim = sec.sector_dimension(z)
+    real = sec.SymmetricVector(z, rng.normal(size=dim))
+    cplx = sec.SymmetricVector(z, rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    for v, dtype in ((real, np.float64), (cplx, np.complex128)):
+        rho = v.to_dense()
+        assert rho.dtype == np.complex128
+        back = sec.extract_coefficients(z, rho)
+        assert back.coeffs.dtype == dtype
+        assert np.abs(back.coeffs - v.coeffs).max() <= 1e-13
+        assert np.abs(back.to_dense() - rho).max() <= 1e-13
+    # a float matrix takes the same path
+    assert sec.extract_coefficients(z, real.to_dense().real).coeffs.dtype == np.float64
+
+
+def test_dense_reconstructions_stay_complex():
+    z = 3
+    dim = sec.sector_dimension(z)
+    for coeffs in (np.ones(dim), np.ones(dim, dtype=complex), np.arange(dim)):
+        assert sec.SymmetricVector(z, coeffs).to_dense().dtype == np.complex128
+    assert sec.embed_dense(z, sec.qnum(Fraction(3, 2), Fraction(1, 2), 0)).dtype == np.complex128
+
+
+@pytest.mark.parametrize("z", range(1, 7))
+def test_hermiticity_defect_equals_the_dense_defect(z):
+    rng = np.random.default_rng(30 + z)
+    dim = sec.sector_dimension(z)
+    hermitian = sec.extract_coefficients(
+        z, sec.SymmetricVector(z, rng.normal(size=dim)).to_dense()
+        + sec.SymmetricVector(z, rng.normal(size=dim)).to_dense().conj().T)
+    for coeffs in (rng.normal(size=dim) + 1j * rng.normal(size=dim),
+                   rng.normal(size=dim), hermitian.coeffs):
+        v = sec.SymmetricVector(z, coeffs)
+        rho = v.to_dense()
+        assert sec.hermiticity_defect(v) == np.abs(rho - rho.conj().T).max()
+
+
+@pytest.mark.parametrize("z", [1, 2, 5, 8])
+def test_slot_pairing_matches_the_dense_layout(z):
+    """Closed-form multiplicities against a count of each slot's dense
+    entries; the dual slot is the slot of the transposed entries."""
+    slots = sec._dense_layout(z)[0]
+    mult, dual = sec._slot_pairing(z)
+    assert np.array_equal(mult, np.bincount(slots.ravel()).astype(float))
+    assert np.array_equal(dual[slots], slots.T)
+    assert np.array_equal(dual[dual], np.arange(len(dual)))
+
+
 def test_extract_rejects_asymmetric_matrices():
     rho = np.zeros((4, 4))
     rho[0, 1] = 1.0           # |11><10|, not swap invariant
@@ -237,7 +287,8 @@ def test_extract_rejects_asymmetric_matrices():
         sec.extract_coefficients(2, rho)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf),
+                                 complex(0, math.nan)])
 def test_extract_rejects_non_finite_entries(bad):
     rho = sec.embed_dense(2, sec.qnum(1, 1, 0))
     rho[0, 1] = bad
