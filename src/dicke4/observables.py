@@ -6,8 +6,9 @@ to any trace, so the inversion is a weighted sum over those slots alone.  The
 entropy reads Hermiticity from the sector vector (`hermiticity_defect`) and
 diagonalizes the dense matrix, capped by the oracle limit: as float64, with the
 real symmetric eigensolver, when no coefficient has an imaginary part, else as
-complex.  `matrix_entropy` picks its solver the same way.  A non-finite,
-non-Hermitian or non-positive state raises ArithmeticError.
+complex.  `matrix_entropy` (the two dense models) diagonalizes its input as
+given.  A non-finite, non-Hermitian or non-positive state raises
+ArithmeticError.
 
 Scenarios: the two-site Bell triplet (|10>+|01>)/sqrt(2) and the three-site
 GHZ state (|111>-|000>)/sqrt(2), both of which stay inside a handful of
@@ -24,8 +25,8 @@ import numpy as np
 
 from .lindblad_solver import ModelParams, _check_domain
 from .su4_algebra import _check_dense_size
-from .symmetric_sector import (SymmetricVector, _dense_layout, _real_if_exact,
-                               hermiticity_defect, qnum)
+from .symmetric_sector import (SymmetricVector, _dense_matrix, hermiticity_defect,
+                               qnum)
 
 
 def atomic_inversion(v: SymmetricVector) -> float:
@@ -57,16 +58,14 @@ def _entropy_of_spectrum(evals: np.ndarray, base: float) -> float:
 def dense_eigenvalues(v: SymmetricVector) -> np.ndarray:
     """Eigenvalues of the dense matrix of a Hermitian v, from the real
     symmetric solver when no coefficient has an imaginary part."""
-    _check_dense_size(v.z)
-    slots, mult = _dense_layout(v.z)
-    return np.linalg.eigvalsh(_real_if_exact(v.coeffs / mult)[slots])
+    return np.linalg.eigvalsh(_dense_matrix(v))
 
 
 def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
     """Entropy of a density matrix given densely.  Hermiticity is required
     to 1e-10; non-finite eigenvalues and ones below -1e-10 are an error,
     small negatives from roundoff are clamped to zero."""
-    rho = _real_if_exact(np.asarray(rho))
+    rho = np.asarray(rho)
     with np.errstate(invalid="ignore"):      # an inf entry gives an inf or NaN defect
         _check_hermitian(float(np.abs(rho - rho.conj().T).max()))
     return _entropy_of_spectrum(np.linalg.eigvalsh(rho), base)
@@ -74,7 +73,9 @@ def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
 
 def von_neumann_entropy(v: SymmetricVector, base: float = 2.0) -> float:
     """-Tr rho log rho (log base 2 by default), with Hermiticity read from the
-    sector vector and the spectrum from `dense_eigenvalues`."""
+    sector vector and the spectrum from `dense_eigenvalues`; a state above the
+    oracle limit is refused before either."""
+    _check_dense_size(v.z)
     _check_hermitian(hermiticity_defect(v))
     return _entropy_of_spectrum(dense_eigenvalues(v), base)
 

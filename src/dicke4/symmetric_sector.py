@@ -255,6 +255,14 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
+def _dense_matrix(v: "SymmetricVector", cast=_real_if_exact) -> np.ndarray:
+    """Dense matrix of v within the oracle limit: entry (r, c) is
+    cast(coeff / multiplicity) of its slot, the cast applied per slot."""
+    su4._check_dense_size(v.z)
+    slots, mult = _dense_layout(v.z)
+    return cast(v.coeffs / mult)[slots]
+
+
 def _slot_sums_and_defect(z: int, rho: np.ndarray):
     """Sums of rho over each slot, and the largest entrywise deviation of rho
     from its slot average.  The slots are the S_Z orbits of dense entries, so
@@ -327,9 +335,7 @@ class SymmetricVector:
 
     def to_dense(self) -> np.ndarray:
         """Dense reconstruction: entry (r, c) is coeff / multiplicity of its slot."""
-        su4._check_dense_size(self.z)
-        slots, mult = _dense_layout(self.z)
-        return (self.coeffs / mult).astype(complex)[slots]
+        return _dense_matrix(self, lambda w: w.astype(complex))
 
     def copy(self) -> "SymmetricVector":
         return SymmetricVector(self.z, self.coeffs.copy())

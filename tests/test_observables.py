@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dicke4 import dense_oracle as do
 from dicke4 import observables as obs
+from dicke4 import su4_algebra as su4
 from dicke4.lindblad_solver import ModelParams, evolve
 from dicke4.symmetric_sector import SymmetricVector, extract_coefficients, qnum
 
@@ -74,6 +75,15 @@ def test_entropy_rejects_nan_and_inf():
         obs.von_neumann_entropy(v)
 
 
+def test_entropy_refuses_a_state_above_the_oracle_limit_first(monkeypatch):
+    monkeypatch.setenv(su4.ORACLE_LIMIT_ENV, "3")
+    v = SymmetricVector.from_components(4, {(2, 2, 0): 1.0})
+    for bad in (math.nan, 0.5):       # a non-finite and a non-Hermitian state
+        v.coeffs[-1] = bad
+        with pytest.raises(ValueError, match="oracle limit"):
+            obs.von_neumann_entropy(v)
+
+
 def _complex_solver_entropy(rho):
     evals = np.clip(np.linalg.eigvalsh(rho.astype(complex)), 0.0, None)
     nz = evals[evals > 0.0]
@@ -113,10 +123,9 @@ def test_entropy_takes_the_real_solver_for_real_values(monkeypatch):
     cplx = SymmetricVector(4, real.coeffs.astype(complex))
     obs.von_neumann_entropy(real)
     obs.von_neumann_entropy(cplx)
-    obs.matrix_entropy(cplx.to_dense())
     psi = np.array([1.0, 1j, 1j, 0.0]) / math.sqrt(3.0)
     obs.von_neumann_entropy(extract_coefficients(2, np.outer(psi, psi.conj())))
-    assert seen == [np.float64] * 3 + [np.complex128]
+    assert seen == [np.float64] * 2 + [np.complex128]
 
 
 def test_sector_entropy_single_site_mixture():
