@@ -28,9 +28,8 @@ from . import verification
 from .lindblad_solver import ModelParams, spectrum, trajectory, truncated_dicke_propagate
 from .observables import (atomic_inversion, bell_initial, ghz_initial,
                           matrix_entropy, von_neumann_entropy)
-from .symmetric_sector import (Config, SymmetricVector, config_from_qn,
-                               embed_dense, enumerate_basis, multiplicity,
-                               qn_from_config, qnum, sector_dimension)
+from .symmetric_sector import (Config, SymmetricVector, basis_configs, embed_dense,
+                               multiplicity, qn_from_config, qnum, sector_dimension)
 
 OBSERVABLE_NAMES = ("trace", "inversion", "entropy")
 MODELS = ("symmetric", "dicke-truncated", "dense-oracle")
@@ -145,12 +144,8 @@ def _dense_initial(kind: str, payload, z: int) -> np.ndarray:
 
 def cmd_basis(args) -> int:
     z = args.z
-    labels = enumerate_basis(z)
-    rows = []
-    for qn in labels:
-        cfg = config_from_qn(z, qn)
-        rows.append((qn, cfg, multiplicity(cfg),
-                     1 if cfg.gamma == 0 and cfg.delta == 0 else 0))
+    rows = [(qn_from_config(cfg), cfg, multiplicity(cfg),
+             1 if cfg.gamma == 0 and cfg.delta == 0 else 0) for cfg in basis_configs(z)]
     if args.format == "json":
         payload = {
             "z": z,

@@ -240,17 +240,35 @@ def scale(t: dict, scalar) -> dict:
     return {w: scalar * coeff for w, coeff in t.items()}
 
 
+# each "3" operator -> its (+1/2, -1/2) factors, read off SINGLE_SITE
+_DIAGONAL_FACTORS = {op: tuple(sorted(rule, key=lambda ch: -rule[ch][0]))
+                     for op, rule in SINGLE_SITE.items()
+                     if all(ch == rep for ch, (_, rep) in rule.items())}
+
+
+def _half(k: int):
+    """k/2 exactly: an int when k is even, else a Fraction."""
+    return k // 2 if k % 2 == 0 else Fraction(k, 2)
+
+
 def apply_superoperator(op: str, t) -> dict:
     """Apply one of the 18 superoperators to a word or an operator sum.
 
     The action distributes over sites: each site holding a factor the
     operator acts on contributes one word with the site's factor replaced
-    and the weight multiplied by the table coefficient.
+    and the weight multiplied by the table coefficient.  A "3" operator
+    keeps every word, so it multiplies each word's weight once, by
+    (count(plus) - count(minus))/2 for its +-1/2 factors.
     """
     if isinstance(t, str):
-        t = {t: Fraction(1)}
-    rule = SINGLE_SITE[op]
+        t = {t: 1}
     out: dict = {}
+    if op in _DIAGONAL_FACTORS:
+        plus, minus = _DIAGONAL_FACTORS[op]
+        for word, weight in t.items():
+            out[word] = weight * _half(word.count(plus) - word.count(minus))
+        return clean(out)
+    rule = SINGLE_SITE[op]
     for word, weight in t.items():
         for i, ch in enumerate(word):
             hit = rule.get(ch)

@@ -14,19 +14,25 @@ unit trace and everything else is traceless.  The sector dimension is
 
 The 18 superoperators close on this sector.  Ladder operators replace one
 factor by another, with coefficient equal to the count of the replaced
-factor; the "3" operators are diagonal.  Label arithmetic is exact
-(Fractions); floats appear only in dense embeddings and coefficient vectors.
+factor; the "3" operators are diagonal.  Labels are exact Fractions, and the
+arithmetic on them runs on ints: `config_from_qn` checks the doubled labels
+2q, 2q3, 2sigma3 for parity and sign.  Floats appear only in dense
+embeddings and coefficient vectors.
 
 Coefficient vectors hold one (n+1) x (m+1) slab (rows beta, columns delta)
 per n = alpha + beta = Z - m, by descending n; the generalized Dicke states are
-the leading Z+1 slots.  Dense entry (r, c) belongs to the configuration with
-beta = #(r & c), delta = #(r & ~c), gamma = #(~r & c), so a cached slot map
-makes `to_dense` a gather and `extract_coefficients` a bincount.
+the leading Z+1 slots.  A label's slot is a closed form (`basis_slot`), and
+so is its inverse (`_slot_configs`), so `basis(z)` is a view with no table.
+Dense entry (r, c) belongs to the configuration with beta = #(r & c),
+delta = #(r & ~c), gamma = #(~r & c), so a cached slot map makes `to_dense` a
+gather and `extract_coefficients` a bincount.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,14 +72,26 @@ def qn_from_config(cfg: Config) -> QuantumNumbers:
     return QuantumNumbers(Fraction(a + b, 2), Fraction(a - b, 2), Fraction(g - d, 2))
 
 
+def _doubled(x):
+    """2x as an int, or None when x is not a half-integer.  An int or a
+    Fraction is read through its numerator and denominator; anything else is
+    coerced with Fraction first, as `qnum` does."""
+    if not hasattr(x, "denominator"):
+        x = Fraction(x)
+    twice, rest = divmod(2 * x.numerator, x.denominator)
+    return None if rest else twice
+
+
 def config_from_qn(z: int, qn: QuantumNumbers) -> Config:
-    """Inverse labelling; raises ValueError on labels outside the sector."""
-    q, q3, sigma3 = Fraction(qn[0]), Fraction(qn[1]), Fraction(qn[2])
-    sigma = Fraction(z, 2) - q
-    counts = (q + q3, q - q3, sigma + sigma3, sigma - sigma3)
-    if any(x.denominator != 1 or x < 0 for x in counts):
-        raise ValueError(f"labels {tuple(qn)} are not realizable at z={z}")
-    return Config(*(int(x) for x in counts))
+    """Inverse labelling, on the doubled labels 2q, 2q3, 2sigma3 as ints;
+    raises ValueError on labels outside the sector."""
+    q, q3, sigma3 = _doubled(qn[0]), _doubled(qn[1]), _doubled(qn[2])
+    if None not in (q, q3, sigma3):
+        sigma = z - q
+        counts = (q + q3, q - q3, sigma + sigma3, sigma - sigma3)
+        if not any(x % 2 or x < 0 for x in counts):
+            return Config(*(x // 2 for x in counts))
+    raise ValueError(f"labels {tuple(qn)} are not realizable at z={z}")
 
 
 def multiplicity(cfg: Config) -> int:
@@ -110,7 +128,7 @@ def _slab_table(z: int):
 def basis_slot(z: int, qn) -> int:
     """Position of a label in the coefficient vector, in closed form; raises
     ValueError on labels outside the sector."""
-    a, b, _, d = config_from_qn(z, qnum(*qn))
+    a, b, _, d = config_from_qn(z, qn)
     return _slab_offset(z, a + b) + b * (z - a - b + 1) + d
 
 
@@ -157,14 +175,14 @@ _REPLACEMENT = {
     "V+": ("d", "c"), "V-": ("c", "d"),
 }
 
-# diagonal superoperator -> eigenvalue on a config
+# diagonal superoperator -> twice its eigenvalue on a config
 _DIAGONAL = {
-    "Q3": lambda c: Fraction(c.alpha - c.beta, 2),
-    "Sigma3": lambda c: Fraction(c.gamma - c.delta, 2),
-    "M3": lambda c: Fraction(c.alpha - c.delta, 2),
-    "N3": lambda c: Fraction(c.gamma - c.beta, 2),
-    "U3": lambda c: Fraction(c.alpha - c.gamma, 2),
-    "V3": lambda c: Fraction(c.delta - c.beta, 2),
+    "Q3": lambda c: c.alpha - c.beta,
+    "Sigma3": lambda c: c.gamma - c.delta,
+    "M3": lambda c: c.alpha - c.delta,
+    "N3": lambda c: c.gamma - c.beta,
+    "U3": lambda c: c.alpha - c.gamma,
+    "V3": lambda c: c.delta - c.beta,
 }
 
 _FACTOR_SLOT = {f: k for k, f in enumerate(su4.FACTORS)}
@@ -174,21 +192,39 @@ def apply_ladder(x: str, qn: QuantumNumbers, z: int):
     """Action of superoperator x on a basis state.
 
     Returns (coefficient, target label).  Diagonal operators return the
-    eigenvalue with the unchanged label; ladder operators return the count
-    of the replaced factor and the shifted label, or (0, None) when the
-    state is annihilated.
+    eigenvalue (an int, or a Fraction when it is a half-integer) with the
+    unchanged label; ladder operators return the count of the replaced
+    factor and the shifted label, or (0, None) when the state is annihilated.
     """
     cfg = config_from_qn(z, qn)
     if x in _DIAGONAL:
-        return _DIAGONAL[x](cfg), qn
+        return su4._half(_DIAGONAL[x](cfg)), qn
     src, dst = _REPLACEMENT[x]
     count = cfg[_FACTOR_SLOT[src]]
     if count == 0:
-        return Fraction(0), None
+        return 0, None
     counts = list(cfg)
     counts[_FACTOR_SLOT[src]] -= 1
     counts[_FACTOR_SLOT[dst]] += 1
-    return Fraction(count), qn_from_config(Config(*counts))
+    return count, qn_from_config(Config(*counts))
+
+
+def _slot_configs(z: int, slots) -> tuple:
+    """Factor counts (alpha, beta, gamma, delta) of each slot in `slots`, the
+    inverse of `basis_slot`: the slab n from the slab starts, then
+    (beta, delta) = divmod(offset in the slab, m + 1).  This is the one
+    definition of the basis order."""
+    starts = _slab_table(z)[0]
+    k = np.searchsorted(starts, slots, side="right") - 1
+    n = z - k
+    beta, delta = np.divmod(slots - starts[k], k + 1)
+    return n - beta, beta, k - delta, delta
+
+
+def basis_configs(z: int) -> list:
+    """The Config of every slot, in slot order."""
+    counts = _slot_configs(z, np.arange(sector_dimension(z)))
+    return list(map(Config, *(x.tolist() for x in counts)))
 
 
 def enumerate_basis(z: int) -> tuple:
@@ -196,18 +232,52 @@ def enumerate_basis(z: int) -> tuple:
 
     Generalized Dicke states (q = Z/2) form the leading contiguous block.
     """
-    if z < 1:
-        raise ValueError(f"need at least one site, got z={z}")
-    return tuple(qn_from_config(Config(n - b, b, z - n - d, d))
-                 for n in range(z, -1, -1) for b in range(n + 1) for d in range(z - n + 1))
+    return tuple(map(qn_from_config, basis_configs(z)))
+
+
+@dataclass(frozen=True)
+class _SlotLabels(Sequence):
+    """The label of every slot in slot order, each computed when read."""
+    z: int
+
+    def __len__(self) -> int:
+        return sector_dimension(self.z)
+
+    def __getitem__(self, i):
+        dim = len(self)
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(dim)))
+        i = operator.index(i)
+        if not -dim <= i < dim:
+            raise IndexError(f"slot {i} outside the z={self.z} sector of dimension {dim}")
+        return qn_from_config(Config(*map(int, _slot_configs(self.z, i % dim))))
+
+
+@dataclass(frozen=True)
+class _LabelSlots(Mapping):
+    """The slot of every label, from `basis_slot`; KeyError outside the sector."""
+    z: int
+
+    def __len__(self) -> int:
+        return sector_dimension(self.z)
+
+    def __iter__(self):
+        return iter(_SlotLabels(self.z))
+
+    def __getitem__(self, qn) -> int:
+        try:
+            return basis_slot(self.z, qn)
+        except (IndexError, TypeError, ValueError):
+            raise KeyError(qn) from None
 
 
 @dataclass(frozen=True)
 class SymmetricBasis:
-    """Labels of one sector size in slot order, and the slot of each label."""
+    """Labels of one sector size in slot order, and the slot of each label:
+    views that compute both in closed form, with no table behind them."""
     z: int
-    states: tuple
-    index: dict
+    states: Sequence
+    index: Mapping
 
     @property
     def dimension(self) -> int:
@@ -216,8 +286,8 @@ class SymmetricBasis:
 
 @lru_cache(maxsize=None)
 def basis(z: int) -> SymmetricBasis:
-    states = enumerate_basis(z)
-    return SymmetricBasis(z=z, states=states, index={qn: i for i, qn in enumerate(states)})
+    sector_dimension(z)      # refuses z < 1
+    return SymmetricBasis(z, _SlotLabels(z), _LabelSlots(z))
 
 
 def _arrangements(cfg: Config):

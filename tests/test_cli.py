@@ -55,6 +55,36 @@ def test_basis_json_three_sites(capsys):
                    "multiplicity": 1, "trace": 1}
 
 
+def expected_basis_rows(z):
+    """(label, config, multiplicity, trace flag) in basis order, from a
+    plain walk over slabs n, rows beta and columns delta."""
+    rows = []
+    for n in range(z, -1, -1):
+        for beta in range(n + 1):
+            for delta in range(z - n + 1):
+                cfg = sec.Config(n - beta, beta, z - n - delta, delta)
+                rows.append((sec.qn_from_config(cfg), cfg, sec.multiplicity(cfg),
+                             int(cfg.gamma == cfg.delta == 0)))
+    return rows
+
+
+@pytest.mark.parametrize("z", range(1, 13))
+def test_basis_output_is_pinned_to_the_labels(capsys, z):
+    rows = expected_basis_rows(z)
+    csv = ["q,q3,sigma3,alpha,beta,gamma,delta,multiplicity,trace"]
+    csv += [f"{qn.q},{qn.q3},{qn.sigma3},{a},{b},{g},{d},{m},{t}"
+            for qn, (a, b, g, d), m, t in rows]
+    csv.append(f"# dimension = {len(rows)}")
+    code, out, _ = run(capsys, "basis", "--z", str(z))
+    assert code == 0 and out == "\n".join(csv) + "\n"
+    payload = {"z": z, "dimension": len(rows), "states": [
+        {"q": str(qn.q), "q3": str(qn.q3), "sigma3": str(qn.sigma3),
+         "alpha": a, "beta": b, "gamma": g, "delta": d, "multiplicity": m, "trace": t}
+        for qn, (a, b, g, d), m, t in rows]}
+    code, out, _ = run(capsys, "basis", "--z", str(z), "--format", "json")
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_basis_dimension_footer_ten_sites(capsys):
     code, out, _ = run(capsys, "basis", "--z", "10")
     assert code == 0
@@ -355,13 +385,13 @@ def test_verify_fails_on_a_nan_propagator(capsys, monkeypatch):
 
 
 def test_verify_fails_on_nan_eigenvalues(capsys, monkeypatch):
-    real = verification.spectrum
+    real = verification._leading_block_spectrum
 
     def nan_spectrum(p):
         vals, stat = real(p)
         return np.full_like(vals, np.nan), stat
 
-    monkeypatch.setattr(verification, "spectrum", nan_spectrum)
+    monkeypatch.setattr(verification, "_leading_block_spectrum", nan_spectrum)
     code, out, _ = run(capsys, "verify", "--z-max", "2", "--words", "4")
     status, _ = verify_report(out)
     assert code == 1

@@ -472,6 +472,26 @@ def test_spectrum_is_integer_ladder():
             assert np.abs(stat.coeffs[z + 1:]).max(initial=0.0) == 0.0
 
 
+@pytest.mark.parametrize("z", [1, 7, 40, 60, 200, 400])
+def test_spectrum_eigenvalues_are_exact_integers_and_weights_non_negative(z):
+    for s in (0.0, 0.1, 0.5, 0.9, 1.0):
+        vals, stat = ls.spectrum(ls.ModelParams(z=z, s=s))
+        assert np.array_equal(vals, -np.arange(z + 1)) and not np.signbit(vals[0])
+        assert stat.coeffs.min() >= 0.0, (z, s)
+
+
+@pytest.mark.parametrize("z", [10, 40, 100, 400])
+def test_spectrum_weights_equal_the_binomial_to_relative_precision(z):
+    """Each weight against C(Z, j) s^(Z-j) (1-s)^j in exact rationals,
+    rounded once; a weight below the smallest float must read 0."""
+    for s in (0.1, 0.3, 0.5, 0.9, 1e-3):
+        stat = ls.spectrum(ls.ModelParams(z=z, s=s))[1].coeffs[:z + 1]
+        exact = Fraction(s)
+        want = np.array([float(math.comb(z, j) * exact ** (z - j) * (1 - exact) ** j)
+                         for j in range(z + 1)])
+        assert np.all(np.abs(stat - want) <= 1e-13 * want), (z, s)
+
+
 def test_block_eigenmodes_normalization():
     modes = ls.block_eigenmodes(ls.ModelParams(z=3, s=0.25))
     vals = [lam for lam, _ in modes]

@@ -176,6 +176,21 @@ def test_apply_superoperator_equals_the_per_site_definition():
     assert su4.apply_superoperator("Q3", {"ud": Fraction(2, 3)}) == {}
 
 
+def test_diagonal_operators_take_exact_int_or_half_integer_weights():
+    # a bare word is seeded with weight int 1; a "3" operator scales it by
+    # (count(plus) - count(minus))/2, an int when even
+    for op, rule in su4.SINGLE_SITE.items():
+        if any(ch != rep for ch, (_, rep) in rule.items()):
+            continue
+        plus = next(ch for ch, (c, _) in rule.items() if c > 0)
+        minus = next(ch for ch, (c, _) in rule.items() if c < 0)
+        even = su4.apply_superoperator(op, plus * 3 + minus)
+        assert even == {plus * 3 + minus: 1} and type(even[plus * 3 + minus]) is int
+        odd = su4.apply_superoperator(op, minus + plus * 3 + minus)
+        assert odd == {minus + plus * 3 + minus: Fraction(1, 2)}
+        assert su4.apply_superoperator(op, plus + minus) == {}
+
+
 # ------------------------------------------------------------------ duality
 
 @given(words, words, st.sampled_from(OPS))

@@ -1,8 +1,10 @@
 """Sector basis: labels, multiplicities, ladders, embeddings, biorthogonality."""
 
+import gc
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +91,113 @@ def test_dual_label_flips_sigma3_only():
     qn = sec.qnum(Fraction(1, 2), Fraction(-1, 2), 1)
     assert sec.dual_qn(qn) == sec.qnum(Fraction(1, 2), Fraction(-1, 2), -1)
     assert sec.dual_qn(sec.dual_qn(qn)) == qn
+
+
+@pytest.mark.parametrize("z", range(1, 13))
+def test_basis_view_reads_the_enumeration(z):
+    """basis(z) computes labels and slots on demand, in the order of
+    enumerate_basis: every slot, negative indices, slices and `in`."""
+    labels = sec.enumerate_basis(z)
+    b = sec.basis(z)
+    dim = sec.sector_dimension(z)
+    assert b.z == z and b.dimension == len(b.states) == len(b.index) == dim
+    assert tuple(b.states) == labels and tuple(b.index) == labels
+    for i, qn in enumerate(labels):
+        assert b.states[i] == qn and b.states[i - dim] == qn
+        assert b.index[b.states[i]] == i
+        assert qn in b.index
+    for sl in (slice(None), slice(z + 1), slice(z + 1, None), slice(-3, None),
+               slice(None, None, -1), slice(1, -1, 3), slice(dim, dim + 5)):
+        assert b.states[sl] == labels[sl], sl
+    for i in (dim, -dim - 1):
+        with pytest.raises(IndexError):
+            b.states[i]
+    # plain tuples and floats hash and compare like the Fraction labels
+    assert b.index[(Fraction(z, 2), Fraction(z, 2), 0)] == 0
+    assert b.index[(z / 2, -z / 2, 0.0)] == z
+
+
+# (label triple, z): not half-integers, wrong parity, negative counts
+UNREALIZABLE = [
+    ((Fraction(1, 3), 0, 0), 2), ((1, Fraction(1, 4), 0), 2), ((1, 0, Fraction(2, 3)), 2),
+    ((1, 0, 0), 3), ((Fraction(1, 2), 0, Fraction(1, 2)), 2), ((1, Fraction(1, 2), 0), 2),
+    ((Fraction(3, 2), Fraction(1, 2), 0), 2), ((1, 2, 0), 2), ((-1, 0, 0), 2),
+    ((0, 0, Fraction(3, 2)), 2), ((Fraction(1, 2), Fraction(-3, 2), 0), 3),
+]
+
+
+@pytest.mark.parametrize("label, z", UNREALIZABLE)
+def test_unrealizable_labels_are_refused(label, z):
+    b = sec.basis(z)
+    assert label not in b.index
+    with pytest.raises(KeyError):
+        b.index[label]
+    for call in (sec.config_from_qn, sec.basis_slot):
+        with pytest.raises(ValueError, match="not realizable"):
+            call(z, label)
+
+
+def test_basis_index_refuses_what_is_not_a_label():
+    b = sec.basis(2)
+    for key in ((1, 1), (1, "x", 0), "abc", None):
+        assert key not in b.index
+        with pytest.raises(KeyError):
+            b.index[key]
+
+
+def fraction_config_from_qn(z, qn):
+    """The label inverse in Fraction arithmetic, as the sector code had it
+    before it moved onto doubled integer labels."""
+    q, q3, sigma3 = Fraction(qn[0]), Fraction(qn[1]), Fraction(qn[2])
+    sigma = Fraction(z, 2) - q
+    counts = (q + q3, q - q3, sigma + sigma3, sigma - sigma3)
+    if any(x.denominator != 1 or x < 0 for x in counts):
+        raise ValueError(f"labels {tuple(qn)} are not realizable at z={z}")
+    return sec.Config(*(int(x) for x in counts))
+
+
+rationals = st.one_of(st.integers(-8, 8),
+                      st.fractions(min_value=-8, max_value=8, max_denominator=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12), st.tuples(rationals, rationals, rationals))
+def test_config_from_qn_matches_the_fraction_formula(z, triple):
+    try:
+        want = fraction_config_from_qn(z, triple)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            sec.config_from_qn(z, triple)
+        assert str(got.value) == str(exc)
+        return
+    got = sec.config_from_qn(z, triple)
+    assert got == want and all(type(x) is int for x in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts4)
+def test_config_from_qn_matches_the_fraction_formula_on_the_sector(counts):
+    cfg = sec.Config(*counts)
+    qn = sec.qn_from_config(cfg)
+    assert sec.config_from_qn(cfg.z, qn) == fraction_config_from_qn(cfg.z, qn) == cfg
+
+
+def test_basis_builds_no_label_table():
+    """basis(z) at the sizes a large-Z run uses leaves next to nothing on the
+    heap: under 1,000 gc-tracked objects and 1 MB for Z = 20, 40 and 60."""
+    sec.basis.cache_clear()
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        held = [sec.basis(z) for z in (20, 40, 60)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    added = len(gc.get_objects()) - objects
+    assert [b.dimension for b in held] == [1771, 12341, 39711]
+    assert added < 1000 and size < 1_000_000, (added, size)
 
 
 # ------------------------------------------------------------------ ladders
