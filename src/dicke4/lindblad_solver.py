@@ -37,6 +37,9 @@ truncation error; rounding drifts by about one ulp per step.
 `propagate_bch` and `evolve` are its one-step case, with 2-D maps.  They
 need numpy only; the oracles and the collective model import scipy when
 called.
+
+The slot layout is `symmetric_sector`'s: the oracles read counts from its
+inverse map `_slot_configs` and targets from its forward map `_slot`.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .symmetric_sector import (SymmetricVector, _slab_table, config_from_qn,
-                               qnum, sector_dimension)
+from .symmetric_sector import (SymmetricVector, _slab_table, _slot, _slot_configs,
+                               config_from_qn, qnum, sector_dimension)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -84,16 +87,6 @@ def _check_domain(tau: float) -> float:
     return -math.expm1(-tau)
 
 
-def _slab_rows(z: int):
-    """Slab size n, row beta (number of d factors) and row width m + 1 of
-    every slot, read off the slab layout."""
-    starts, _ = _slab_table(z)
-    sizes = np.diff(starts, append=sector_dimension(z))
-    n = np.repeat(np.arange(z, -1, -1), sizes)
-    width = z + 1 - n
-    return n, (np.arange(len(n)) - np.repeat(starts, sizes)) // width, width
-
-
 @lru_cache(maxsize=None)
 def ladder_matrices(z: int):
     """Sparse matrices of Q+ and Q- on the sector coefficient vector.
@@ -102,19 +95,20 @@ def ladder_matrices(z: int):
     (q -+ q3) P_{q,q3 +- 1,s3}.  On slab n, with rows beta = q - q3 and one
     column per delta, Q+ sends row beta to beta - 1 with weight beta and Q-
     sends it to beta + 1 with weight n - beta = q + q3: a tridiagonal in beta
-    times the identity in delta.  Entries are the exact integer counts.
+    times the identity in delta.  Entries are the exact integer counts: Q-
+    takes each slot with a u factor one row down (`_slot` at beta + 1) with
+    weight alpha, and Q+ takes it back up with weight beta + 1.
     """
     import scipy.sparse as sp
-    n, beta, width = _slab_rows(z)
-    dim = len(n)
+    dim = sector_dimension(z)
     slot = np.arange(dim)
-    mats = []
-    for weight, shift in ((beta, -width), (n - beta, width)):
-        moves = weight > 0
-        mats.append(sp.csr_matrix((weight[moves].astype(float),
-                                   (slot[moves] + shift[moves], slot[moves])),
-                                  shape=(dim, dim)))
-    return tuple(mats)
+    counts = _slot_configs(z, slot)
+    moves = counts[0] > 0               # Q- moves every slot with a u factor
+    up = slot[moves]
+    alpha, beta, _, delta = (x[moves] for x in counts)
+    down = _slot(z, alpha + beta, beta + 1, delta)
+    return (sp.csr_matrix(((beta + 1).astype(float), (up, down)), shape=(dim, dim)),
+            sp.csr_matrix((alpha.astype(float), (down, up)), shape=(dim, dim)))
 
 
 def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
@@ -124,8 +118,8 @@ def liouvillian_matrix(p: ModelParams) -> sp.csr_matrix:
     and row beta; the off-diagonal is (1-s) Q- + s Q+ from `ladder_matrices`.
     """
     import scipy.sparse as sp
-    n, beta, _ = _slab_rows(p.z)
-    q = 0.5 * n
+    alpha, beta, _, _ = _slot_configs(p.z, np.arange(sector_dimension(p.z)))
+    q = 0.5 * (alpha + beta)
     qp, qm = ladder_matrices(p.z)
     diag = (-0.5 * p.z
             - (1.0 - 2.0 * p.s) * (q - beta)
@@ -195,6 +189,8 @@ def trajectory(v: SymmetricVector, p: ModelParams, taus):
         step = tau - (0.0 if restart else prev)
         walk.append((restart, index.setdefault(step, len(index))))
         prev = tau
+    if not walk:
+        return
     maps = _slab_maps(p, list(index), {n for n, _ in slabs})
     w = w0
     for restart, k in walk:
@@ -232,17 +228,6 @@ def propagate_decay_closed_form(qn, z: int, tau: float) -> SymmetricVector:
                   * math.exp(-tau * float(Fraction(z, 2) + qn.q3 - k)))
         comps[qnum(qn.q, qn.q3 - k, qn.sigma3)] = weight
     return SymmetricVector.from_components(z, comps)
-
-
-def dicke_block_matrix(p: ModelParams) -> np.ndarray:
-    """Generator on the leading q = Z/2 block (Z+1 states), in closed form.
-
-    Row and column k = Z/2 - q3 count the d factors: Q+ takes k to k-1 with
-    weight s k, Q- takes k to k+1 with weight (1-s)(Z-k).
-    """
-    k = np.arange(p.z + 1.0)
-    return (np.diag(-0.5 * p.z - (1.0 - 2.0 * p.s) * (0.5 * p.z - k))
-            + np.diag(p.s * k[1:], 1) + np.diag((1.0 - p.s) * (p.z - k[:-1]), -1))
 
 
 def spectrum(p: ModelParams):

@@ -21,8 +21,10 @@ embeddings and coefficient vectors.
 
 Coefficient vectors hold one (n+1) x (m+1) slab (rows beta, columns delta)
 per n = alpha + beta = Z - m, by descending n; the generalized Dicke states are
-the leading Z+1 slots.  A label's slot is a closed form (`basis_slot`), and
-so is its inverse (`_slot_configs`), so `basis(z)` is a view with no table.
+the leading Z+1 slots.  The forward map `_slot(z, n, beta, delta)` and its
+inverse `_slot_configs(z, slots)` define that order once, in closed form;
+every per-slot fact here and in `lindblad_solver` is read from them, and
+`basis(z)` is a view with no table.
 Dense entry (r, c) belongs to the configuration with beta = #(r & c),
 delta = #(r & ~c), gamma = #(~r & c), so a cached slot map makes `to_dense` a
 gather and `extract_coefficients` a bincount.
@@ -125,11 +127,30 @@ def _slab_table(z: int):
     return starts, [(z - k, slice(bounds[k], bounds[k + 1])) for k in range(z + 1)]
 
 
+def _slot(z: int, n, beta, delta):
+    """Slot of the counts with alpha + beta = n, beta d factors and delta c
+    factors: row beta, column delta of the (n+1) x (Z-n+1) slab n.  The
+    forward map of the basis order, on ints or integer arrays; `_slot_configs`
+    is its inverse."""
+    return _slab_offset(z, n) + beta * (z + 1 - n) + delta
+
+
+def _slot_configs(z: int, slots) -> tuple:
+    """Factor counts (alpha, beta, gamma, delta) of each slot in `slots`, the
+    inverse of `_slot`: the slab n from the slab starts, then
+    (beta, delta) = divmod(offset in the slab, m + 1)."""
+    starts = _slab_table(z)[0]
+    k = np.searchsorted(starts, slots, side="right") - 1
+    n = z - k
+    beta, delta = np.divmod(slots - starts[k], k + 1)
+    return n - beta, beta, k - delta, delta
+
+
 def basis_slot(z: int, qn) -> int:
     """Position of a label in the coefficient vector, in closed form; raises
     ValueError on labels outside the sector."""
     a, b, _, d = config_from_qn(z, qn)
-    return _slab_offset(z, a + b) + b * (z - a - b + 1) + d
+    return _slot(z, a + b, b, d)
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +164,7 @@ def _dense_layout(z: int):
     for r in range(dim):
         beta = np.bitwise_count(bits & bits[r])
         n = z - pop[r] - pop + 2 * beta
-        slots[r] = _slab_offset(z, n) + beta * (z + 1 - n) + pop[r] - beta
+        slots[r] = _slot(z, n, beta, pop[r] - beta)
     slots.flags.writeable = False
     return slots, _slot_pairing(z)[0]
 
@@ -151,16 +172,19 @@ def _dense_layout(z: int):
 @lru_cache(maxsize=None)
 def _slot_pairing(z: int):
     """Each slot's multiplicity C(Z, n) C(n, beta) C(m, delta), m = Z - n, as
-    a float (exact while 4^Z < 2^53, Z <= 26; inf from Z = 519), and its
-    dual slot (delta -> m - delta within its slab row), the slot of the
-    transposed dense entries; O(dimension), with no dense layout."""
-    mult = np.empty(sector_dimension(z))
-    dual = np.empty(sector_dimension(z), dtype=np.intp)
-    for n, sl in _slab_table(z)[1]:
-        rows = np.array([math.comb(n, b) for b in range(n + 1)], dtype=float)
-        cols = np.array([math.comb(z - n, d) for d in range(z - n + 1)], dtype=float)
-        mult[sl] = (float(math.comb(z, n)) * np.outer(rows, cols)).ravel()
-        dual[sl] = np.arange(sl.start, sl.stop).reshape(n + 1, -1)[:, ::-1].ravel()
+    a float (exact while 4^Z < 2^53, Z <= 26), and its dual slot, the slot of
+    the transposed dense entries: delta and gamma swap, so the dual is
+    slot + gamma - delta.  O(dimension), with no dense layout; raises
+    OverflowError from Z = 519, where the largest is 2^1024 or more."""
+    if z > 518:
+        raise OverflowError(f"slot multiplicities overflow a float above z=518; got z={z}")
+    binom = np.array([[math.comb(i, j) for j in range(z + 1)] for i in range(z + 1)],
+                     dtype=float)
+    slots = np.arange(sector_dimension(z))
+    alpha, beta, gamma, delta = _slot_configs(z, slots)
+    n = alpha + beta
+    mult = binom[z, n] * (binom[n, beta] * binom[z - n, delta])
+    dual = slots + gamma - delta
     mult.flags.writeable = dual.flags.writeable = False
     return mult, dual
 
@@ -207,18 +231,6 @@ def apply_ladder(x: str, qn: QuantumNumbers, z: int):
     counts[_FACTOR_SLOT[src]] -= 1
     counts[_FACTOR_SLOT[dst]] += 1
     return count, qn_from_config(Config(*counts))
-
-
-def _slot_configs(z: int, slots) -> tuple:
-    """Factor counts (alpha, beta, gamma, delta) of each slot in `slots`, the
-    inverse of `basis_slot`: the slab n from the slab starts, then
-    (beta, delta) = divmod(offset in the slab, m + 1).  This is the one
-    definition of the basis order."""
-    starts = _slab_table(z)[0]
-    k = np.searchsorted(starts, slots, side="right") - 1
-    n = z - k
-    beta, delta = np.divmod(slots - starts[k], k + 1)
-    return n - beta, beta, k - delta, delta
 
 
 def basis_configs(z: int) -> list:
@@ -390,7 +402,7 @@ class SymmetricVector:
         """Build from a sparse {label: weight} mapping; labels may be any
         triple coercible to (q, q3, sigma3)."""
         weights = {qnum(*key): val for key, val in components.items()}
-        dtype = complex if any(isinstance(v, complex) for v in weights.values()) else float
+        dtype = complex if any(map(np.iscomplexobj, weights.values())) else float
         arr = np.zeros(sector_dimension(z), dtype=dtype)
         for qn, val in weights.items():
             arr[basis_slot(z, qn)] += val

@@ -238,6 +238,12 @@ def test_trajectory_equals_per_tau_evolve_on_any_grid(taus):
             assert _relative_gap(state.coeffs, ls.evolve(v, p, tau).coeffs) <= 1e-13, (z, tau)
 
 
+@pytest.mark.parametrize("taus", [[], np.array([])], ids=["list", "array"])
+def test_trajectory_on_an_empty_grid_yields_nothing(taus):
+    v = SymmetricVector.from_components(3, {(1.5, 1.5, 0): 1.0})
+    assert list(ls.trajectory(v, ls.ModelParams(z=3, s=0.3), taus)) == []
+
+
 @pytest.mark.parametrize("z", [3, 20])
 def test_trajectory_drift_over_ten_thousand_steps(z):
     # rounding drifts about linearly with the step count; compare as the
@@ -445,19 +451,28 @@ def test_balanced_pumping_asymptotics():
 
 # ------------------------------------------------------------ block spectra
 
+def _dicke_block(p):
+    """The generator on the leading q = Z/2 block (Z+1 states)."""
+    return ls.liouvillian_matrix(p)[:p.z + 1, :p.z + 1].toarray()
+
+
 def test_block_matrix_conserves_trace():
     for s in (0.0, 0.35, 1.0):
-        block = ls.dicke_block_matrix(ls.ModelParams(z=5, s=s))
+        block = _dicke_block(ls.ModelParams(z=5, s=s))
         assert np.abs(block.sum(axis=0)).max() <= 1e-12
 
 
 def test_block_matrix_ignores_dephasing():
-    a = ls.dicke_block_matrix(ls.ModelParams(z=4, s=0.3, ctilde=0.5))
-    b = ls.dicke_block_matrix(ls.ModelParams(z=4, s=0.3, ctilde=2.0))
+    a = _dicke_block(ls.ModelParams(z=4, s=0.3, ctilde=0.5))
+    b = _dicke_block(ls.ModelParams(z=4, s=0.3, ctilde=2.0))
     assert np.array_equal(a, b)
-    # the closed form is the leading block of the sector generator
-    lv = ls.liouvillian_matrix(ls.ModelParams(z=4, s=0.3, ctilde=2.0))
-    assert np.array_equal(a, lv[:5, :5].toarray())
+    # the block in closed form: k = Z/2 - q3 counts the d factors, Q+ takes
+    # k to k-1 with weight s k and Q- takes k to k+1 with weight (1-s)(Z-k)
+    z, s = 4, 0.3
+    k = np.arange(z + 1.0)
+    closed = (np.diag(-0.5 * z - (1.0 - 2.0 * s) * (0.5 * z - k))
+              + np.diag(s * k[1:], 1) + np.diag((1.0 - s) * (z - k[:-1]), -1))
+    assert np.array_equal(a, closed)
 
 
 def test_spectrum_is_integer_ladder():
@@ -516,7 +531,7 @@ def test_block_eigenmodes_have_integer_eigenvalues(z):
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
 def test_block_eigenmodes_solve_the_block(z, s):
     p = ls.ModelParams(z=z, s=s)
-    block = ls.dicke_block_matrix(p)
+    block = _dicke_block(p)
     norm = np.abs(block).sum(axis=1).max()
     for lam, mode in ls.block_eigenmodes(p):
         c = mode.coeffs[:z + 1]

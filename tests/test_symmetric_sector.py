@@ -389,6 +389,55 @@ def test_slot_pairing_matches_the_dense_layout(z):
     assert np.array_equal(dual[dual], np.arange(len(dual)))
 
 
+def _per_slab_pairing(z):
+    """Multiplicities and duals slab by slab: the outer product of C(n, beta)
+    and C(m, delta) times C(Z, n), and each slab row reversed."""
+    mult = np.empty(sec.sector_dimension(z))
+    dual = np.empty(sec.sector_dimension(z), dtype=np.intp)
+    for n, sl in sec._slab_table(z)[1]:
+        rows = np.array([math.comb(n, b) for b in range(n + 1)], dtype=float)
+        cols = np.array([math.comb(z - n, d) for d in range(z - n + 1)], dtype=float)
+        mult[sl] = (float(math.comb(z, n)) * np.outer(rows, cols)).ravel()
+        dual[sl] = np.arange(sl.start, sl.stop).reshape(n + 1, -1)[:, ::-1].ravel()
+    return mult, dual
+
+
+@pytest.mark.parametrize("z", [*range(1, 31), 60, 100])
+def test_slot_pairing_equals_the_per_slab_formula(z):
+    for got, want in zip(sec._slot_pairing(z), _per_slab_pairing(z)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("z", [*range(1, 13), 60, 200])
+def test_slot_is_the_inverse_of_slot_configs(z):
+    slots = np.arange(sec.sector_dimension(z))
+    alpha, beta, gamma, delta = sec._slot_configs(z, slots)
+    assert min(x.min() for x in (alpha, beta, gamma, delta)) >= 0
+    assert np.all(alpha + beta + gamma + delta == z)
+    assert np.array_equal(sec._slot(z, alpha + beta, beta, delta), slots)
+
+
+@pytest.mark.parametrize("z", range(1, 13))
+def test_dual_slot_swaps_gamma_and_delta(z):
+    slots = np.arange(sec.sector_dimension(z))
+    alpha, beta, gamma, delta = sec._slot_configs(z, slots)
+    dual = sec._slot_pairing(z)[1]
+    for got, want in zip(sec._slot_configs(z, dual), (alpha, beta, delta, gamma)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(dual[dual], slots)
+
+
+@pytest.mark.parametrize("z", [519, 520])
+def test_slot_pairing_refuses_overflowing_multiplicities(z):
+    # a zero-strided vector: the refusal must come before any O(dimension) work
+    v = sec.SymmetricVector(z, np.broadcast_to(1.0, (sec.sector_dimension(z),)))
+    start = time.perf_counter()
+    for call in (lambda: sec._slot_pairing(z), lambda: sec.hermiticity_defect(v)):
+        with pytest.raises(OverflowError, match="above z=518"):
+            call()
+    assert time.perf_counter() - start < 0.5
+
+
 def test_extract_rejects_asymmetric_matrices():
     rho = np.zeros((4, 4))
     rho[0, 1] = 1.0           # |11><10|, not swap invariant
@@ -467,6 +516,13 @@ def test_vector_trace_counts_only_dicke_states():
     v = sec.SymmetricVector.from_components(
         2, {(1, 1, 0): 0.3, (0, 0, 0): 9.0, (0, 0, 1): 4.0})
     assert v.trace() == pytest.approx(0.3, abs=1e-15)
+
+
+def test_from_components_keeps_complex_weights_of_any_type():
+    v = sec.SymmetricVector.from_components(2, {(1, 1, 0): np.complex64(1j)})
+    assert v.coeffs.dtype == complex and v.coeff((1, 1, 0)) == 1j
+    exact = sec.SymmetricVector.from_components(2, {(1, 1, 0): Fraction(1, 2)})
+    assert exact.coeffs.dtype == float and exact.coeff((1, 1, 0)) == 0.5
 
 
 def test_from_components_rejects_foreign_label():
