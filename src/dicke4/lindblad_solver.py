@@ -156,7 +156,10 @@ def _slab_maps(p: ModelParams, lengths, live) -> dict:
         if n in live:
             stack = np.moveaxis(mat, -1, 0).copy() if tail else [mat]
             for k, tau in enumerate(lengths):
-                maps[k, n] = stack[k], math.exp(-p.ctilde * (p.z - n) * tau)
+                # a zero-length step is exactly 1.0: once ctilde m overflows,
+                # -inf * 0.0 would be NaN
+                coherence = math.exp(-p.ctilde * (p.z - n) * tau) if tau else 1.0
+                maps[k, n] = stack[k], coherence
     return maps
 
 

@@ -241,9 +241,9 @@ def scale(t: dict, scalar) -> dict:
 
 
 # each "3" operator -> its (+1/2, -1/2) factors, read off SINGLE_SITE
-_DIAGONAL_FACTORS = {op: tuple(sorted(rule, key=lambda ch: -rule[ch][0]))
-                     for op, rule in SINGLE_SITE.items()
-                     if all(ch == rep for ch, (_, rep) in rule.items())}
+DIAGONAL_FACTORS = {op: tuple(sorted(rule, key=lambda ch: -rule[ch][0]))
+                    for op, rule in SINGLE_SITE.items()
+                    if all(ch == rep for ch, (_, rep) in rule.items())}
 
 
 def _half(k: int):
@@ -263,8 +263,8 @@ def apply_superoperator(op: str, t) -> dict:
     if isinstance(t, str):
         t = {t: 1}
     out: dict = {}
-    if op in _DIAGONAL_FACTORS:
-        plus, minus = _DIAGONAL_FACTORS[op]
+    if op in DIAGONAL_FACTORS:
+        plus, minus = DIAGONAL_FACTORS[op]
         for word, weight in t.items():
             out[word] = weight * _half(word.count(plus) - word.count(minus))
         return clean(out)

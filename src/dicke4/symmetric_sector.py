@@ -14,7 +14,8 @@ unit trace and everything else is traceless.  The sector dimension is
 
 The 18 superoperators close on this sector.  Ladder operators replace one
 factor by another, with coefficient equal to the count of the replaced
-factor; the "3" operators are diagonal.  Labels are exact Fractions, and the
+factor; the "3" operators are diagonal.  `su4.SINGLE_SITE` is the one table
+of which factor each replaces.  Labels are exact Fractions, and the
 arithmetic on them runs on ints: `config_from_qn` checks the doubled labels
 2q, 2q3, 2sigma3 for parity and sign.  Floats appear only in dense
 embeddings and coefficient vectors.
@@ -189,48 +190,31 @@ def _slot_pairing(z: int):
     return mult, dual
 
 
-# ladder superoperator -> (replaced factor, replacement factor)
-_REPLACEMENT = {
-    "Q+": ("d", "u"), "Q-": ("u", "d"),
-    "Sigma+": ("c", "s"), "Sigma-": ("s", "c"),
-    "M+": ("c", "u"), "M-": ("u", "c"),
-    "N+": ("d", "s"), "N-": ("s", "d"),
-    "U+": ("s", "u"), "U-": ("u", "s"),
-    "V+": ("d", "c"), "V-": ("c", "d"),
-}
-
-# diagonal superoperator -> twice its eigenvalue on a config
-_DIAGONAL = {
-    "Q3": lambda c: c.alpha - c.beta,
-    "Sigma3": lambda c: c.gamma - c.delta,
-    "M3": lambda c: c.alpha - c.delta,
-    "N3": lambda c: c.gamma - c.beta,
-    "U3": lambda c: c.alpha - c.gamma,
-    "V3": lambda c: c.delta - c.beta,
-}
-
 _FACTOR_SLOT = {f: k for k, f in enumerate(su4.FACTORS)}
 
 
 def apply_ladder(x: str, qn: QuantumNumbers, z: int):
     """Action of superoperator x on a basis state.
 
-    Returns (coefficient, target label).  Diagonal operators return the
-    eigenvalue (an int, or a Fraction when it is a half-integer) with the
-    unchanged label; ladder operators return the count of the replaced
+    Returns (coefficient, target label), read off the operator's single-site
+    rule in `su4.SINGLE_SITE` applied to the factor counts.  Diagonal
+    operators return half of count(+1/2 factor) - count(-1/2 factor) (an int,
+    or a Fraction when it is a half-integer) with the unchanged label; ladder
+    operators return the rule's coefficient times the count of the replaced
     factor and the shifted label, or (0, None) when the state is annihilated.
     """
     cfg = config_from_qn(z, qn)
-    if x in _DIAGONAL:
-        return su4._half(_DIAGONAL[x](cfg)), qn
-    src, dst = _REPLACEMENT[x]
+    if x in su4.DIAGONAL_FACTORS:
+        plus, minus = su4.DIAGONAL_FACTORS[x]
+        return su4._half(cfg[_FACTOR_SLOT[plus]] - cfg[_FACTOR_SLOT[minus]]), qn
+    ((src, (coeff, dst)),) = su4.SINGLE_SITE[x].items()
     count = cfg[_FACTOR_SLOT[src]]
     if count == 0:
         return 0, None
     counts = list(cfg)
     counts[_FACTOR_SLOT[src]] -= 1
     counts[_FACTOR_SLOT[dst]] += 1
-    return count, qn_from_config(Config(*counts))
+    return coeff * count, qn_from_config(Config(*counts))
 
 
 def basis_configs(z: int) -> list:

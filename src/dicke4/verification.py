@@ -244,12 +244,16 @@ def check_casimir(z_values=(1, 2, 3), words_per_z=10, seed=4) -> str:
 
 @_check("dimension")
 def check_dimension() -> str:
-    """Sector size (Z+1)(Z+2)(Z+3)/6 for Z = 1..20, with the published spot values."""
+    """The basis order stated as nested loops, n descending, then beta and
+    delta ascending, equals `basis_configs` for Z = 1..20; its length is
+    (Z+1)(Z+2)(Z+3)/6, with the published spot values."""
     for z in range(1, 21):
-        want = (z + 1) * (z + 2) * (z + 3) // 6
-        got = len(ss.enumerate_basis(z))
-        if got != want or ss.sector_dimension(z) != want:
-            raise CheckFailed(f"z={z}: {got} != {want}")
+        want = [(n - b, b, z - n - d, d) for n in range(z, -1, -1)
+                for b in range(n + 1) for d in range(z - n + 1)]
+        if ss.basis_configs(z) != want:
+            raise CheckFailed(f"z={z}: basis order is not n descending, then beta, delta")
+        if len(want) != ss.sector_dimension(z):
+            raise CheckFailed(f"z={z}: {len(want)} != {ss.sector_dimension(z)}")
     for z, want in ((5, 56), (10, 286), (20, 1771)):
         if ss.sector_dimension(z) != want:
             raise CheckFailed(f"z={z} spot value != {want}")
@@ -260,7 +264,9 @@ def check_dimension() -> str:
 def check_ladder_vs_dense(z_max=4) -> str:
     """Three routes for every superoperator on every basis state: sector
     label arithmetic == word algebra (exact), word algebra == brute-force
-    Pauli superoperator (dense, to 1e-12)."""
+    Pauli superoperator (dense, to 1e-12).  The label and word routes both
+    read `su4.SINGLE_SITE`; the Pauli sandwiches of `dense_oracle` state the
+    single-site rules independently, so only they catch a wrong entry."""
     worst = 0.0
     for z in range(1, min(z_max, 4) + 1):
         states = {qn: ss.state_operator_sum(z, qn) for qn in ss.enumerate_basis(z)}

@@ -445,6 +445,29 @@ def test_verify_catches_a_ladder_coefficient_off_by_one(capsys, monkeypatch):
     assert failed_checks(capsys, "--z-max", "2") == ["ladder-vs-dense"]
 
 
+def test_verify_catches_a_basis_order_swap(capsys, monkeypatch):
+    # swap two generalized Dicke states at Z = 3; only `dimension` states
+    # the order independently of `_slot_configs`
+    real = sec.basis_configs
+
+    def swapped(z):
+        configs = real(z)
+        if z == 3:
+            configs[1], configs[2] = configs[2], configs[1]
+        return configs
+
+    monkeypatch.setattr(sec, "basis_configs", swapped)
+    assert "dimension" in failed_checks(capsys)
+
+
+@pytest.mark.parametrize("table, op, rule", [("SINGLE_SITE", "Q+", {"d": (1, "s")}),
+                                              ("DIAGONAL_FACTORS", "M3", ("u", "d"))])
+def test_verify_catches_a_wrong_single_site_rule(capsys, monkeypatch, table, op, rule):
+    # the word and label routes both read su4's rules; the Pauli route does not
+    monkeypatch.setitem(getattr(su4, table), op, rule)
+    assert "ladder-vs-dense" in failed_checks(capsys, "--z-max", "2", "--words", "4")
+
+
 # `dicke4 verify --seed 3` with the timing suffixes stripped: sharing word
 # images between the comparisons of a check must not change any line
 VERIFY_SEED_3 = """\

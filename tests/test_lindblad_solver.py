@@ -244,6 +244,16 @@ def test_trajectory_on_an_empty_grid_yields_nothing(taus):
     assert list(ls.trajectory(v, ls.ModelParams(z=3, s=0.3), taus)) == []
 
 
+@pytest.mark.parametrize("z, ctilde", [(2, 1e308), (30, 1e307)])
+def test_zero_length_step_is_the_identity_when_ctilde_m_overflows(z, ctilde):
+    # -ctilde (Z - n) is -inf in the all-s slab n = 0, and -inf * 0.0 is NaN
+    v = SymmetricVector.from_components(z, {(0, 0, Fraction(z, 2)): 1.0})
+    p = ls.ModelParams(z=z, s=0.3, ctilde=ctilde)
+    assert np.array_equal(ls.evolve(v, p, 0.0).coeffs, v.coeffs)
+    for state in ls.trajectory(v, p, [0.0, 0.5, 1.0]):
+        assert np.isfinite(state.coeffs).all()
+
+
 @pytest.mark.parametrize("z", [3, 20])
 def test_trajectory_drift_over_ten_thousand_steps(z):
     # rounding drifts about linearly with the step count; compare as the
