@@ -300,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200,
                    help="number of grid points including tau=0")
     p.add_argument("--observables", default="trace,inversion",
-                   help="comma-separated: trace, inversion, entropy")
+                   help="comma-separated: trace, inversion, entropy.  Entropy "
+                   "runs at any Z for dicke: and config:<a>,<b>,0,0 starts, which "
+                   "stay diagonal; other states stay under DICKE4_ORACLE_LIMIT")
     p.add_argument("--model", choices=MODELS, default="symmetric")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")

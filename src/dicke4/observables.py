@@ -2,13 +2,16 @@
 
 Read-outs: trace, atomic inversion <S3> = <Q3>, von Neumann entropy.  Only
 the unit-trace block (q = Z/2, sigma3 = 0), the leading Z+1 slots, contributes
-to any trace, so the inversion is a weighted sum over those slots alone.  The
-entropy reads Hermiticity from the sector vector (`hermiticity_defect`) and
+to any trace, so the inversion is a weighted sum over those slots alone.  A
+state with nothing outside them (every `dicke:` start, and every `config:` start
+with gamma = delta = 0, at any tau) is diagonal: its entropy is the Shannon sum
+-sum c_beta log(c_beta / C(Z, beta)), O(Z) at any Z.  Any other state's entropy
+reads Hermiticity from the sector vector (`hermiticity_defect`) and
 diagonalizes the dense matrix, capped by the oracle limit: as float64, with the
 real symmetric eigensolver, when no coefficient has an imaginary part, else as
 complex.  `matrix_entropy` (the two dense models) diagonalizes its input as
 given.  A non-finite, non-Hermitian or non-positive state raises
-ArithmeticError.
+ArithmeticError, and a log base that is not finite and > 1 ValueError.
 
 Scenarios: the two-site Bell triplet (|10>+|01>)/sqrt(2) and the three-site
 GHZ state (|111>-|000>)/sqrt(2), both of which stay inside a handful of
@@ -42,17 +45,38 @@ def _check_hermitian(defect: float) -> None:
                               f"matrix is not Hermitian (defect {defect:.3e})")
 
 
-def _entropy_of_spectrum(evals: np.ndarray, base: float) -> float:
-    """Entropy from a spectrum; the checks are `matrix_entropy`'s."""
+def _in_base(nats: float, base: float) -> float:
+    if not 1.0 < base < math.inf:      # a NaN base fails this test too
+        raise ValueError(f"entropy base must be finite and > 1, got {base!r}")
+    out = nats / math.log(base)
+    return 0.0 if out == 0.0 else out   # avoid -0.0 in serialized output
+
+
+def _spectrum_nats(evals: np.ndarray) -> float:
+    """Entropy in nats from a spectrum; the checks are `matrix_entropy`'s."""
     if not np.isfinite(evals).all():
         raise ArithmeticError("non-finite eigenvalue in the spectrum")
     low = float(evals.min(initial=0.0))
     if not low >= -1e-10:
         raise ArithmeticError(f"negative eigenvalue {low:.3e} in the spectrum")
-    evals = np.clip(evals, 0.0, None)
     nz = evals[evals > 0.0]
-    out = float(-(nz * np.log(nz)).sum() / math.log(base))
-    return 0.0 if out == 0.0 else out   # avoid -0.0 in serialized output
+    return float(-(nz * np.log(nz)).sum())
+
+
+def _diagonal_nats(v: SymmetricVector) -> float:
+    """Entropy in nats of a state whose only nonzero slab is n = Z: slot beta
+    is C(Z, beta) eigenvalues c_beta / C(Z, beta), with Hermiticity defect
+    2 |Im c_beta| / C(Z, beta).  A c_beta below -1e-10 is an error."""
+    c = v.coeffs[:v.z + 1]
+    if not np.isfinite(c).all():
+        raise ArithmeticError("non-finite coefficient in slab n = Z")
+    log_mult = np.array([math.log(math.comb(v.z, b)) for b in range(v.z + 1)])
+    _check_hermitian(float((2.0 * np.abs(c.imag) * np.exp(-log_mult)).max()))
+    low = float(c.real.min())
+    if not low >= -1e-10:
+        raise ArithmeticError(f"negative level population {low:.3e} in slab n = Z")
+    live = c.real > 0.0               # smaller negatives count as 0
+    return float(-(c.real[live] * (np.log(c.real[live]) - log_mult[live])).sum())
 
 
 def dense_eigenvalues(v: SymmetricVector) -> np.ndarray:
@@ -68,16 +92,19 @@ def matrix_entropy(rho: np.ndarray, base: float = 2.0) -> float:
     rho = np.asarray(rho)
     with np.errstate(invalid="ignore"):      # an inf entry gives an inf or NaN defect
         _check_hermitian(float(np.abs(rho - rho.conj().T).max()))
-    return _entropy_of_spectrum(np.linalg.eigvalsh(rho), base)
+    return _in_base(_spectrum_nats(np.linalg.eigvalsh(rho)), base)
 
 
 def von_neumann_entropy(v: SymmetricVector, base: float = 2.0) -> float:
-    """-Tr rho log rho (log base 2 by default), with Hermiticity read from the
-    sector vector and the spectrum from `dense_eigenvalues`; a state above the
-    oracle limit is refused before either."""
+    """-Tr rho log rho (log base 2 by default).  A state exactly 0 outside slab
+    n = Z is diagonal: an O(dimension) scan, then O(Z), at any Z.  Any other state
+    is refused above the oracle limit first, then reads Hermiticity from the
+    sector vector and its spectrum from `dense_eigenvalues`."""
+    if not v.coeffs[v.z + 1:].any():         # a NaN outside the slab counts as nonzero
+        return _in_base(_diagonal_nats(v), base)
     _check_dense_size(v.z)
     _check_hermitian(hermiticity_defect(v))
-    return _entropy_of_spectrum(dense_eigenvalues(v), base)
+    return _in_base(_spectrum_nats(dense_eigenvalues(v)), base)
 
 
 def bell_initial() -> SymmetricVector:

@@ -319,6 +319,25 @@ def test_oracle_limit_env_blocks_dense_paths(capsys, monkeypatch):
     assert code == 0
 
 
+def test_diagonal_entropy_runs_above_the_oracle_limit(capsys):
+    code, out, err = run(capsys, "propagate", "--initial", "dicke:100", "--z", "200",
+                         "--s", "0.3", "--steps", "20", "--observables", "trace,entropy")
+    assert (code, err) == (0, "")
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+    assert rows.shape == (20, 3)
+    # all-excited start: each site stays diagonal with excitation
+    # p = s + (1 - s) e^(-tau), so S = Z H2(p)
+    p = 0.3 + 0.7 * np.exp(-rows[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.nan_to_num(-200.0 * (p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+    assert np.all(np.abs(rows[:, 2] - want) <= 1e-10 * want)
+    # a start with coherences still needs the dense route
+    code, out, err = run(capsys, "propagate", "--initial", "config:1,0,18,1", "--z", "20",
+                         "--observables", "entropy")
+    assert (code, out) == (2, "") and "oracle limit" in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "-3"])
 def test_malformed_oracle_limit_is_a_usage_error(capsys, monkeypatch, raw):
     monkeypatch.setenv(su4.ORACLE_LIMIT_ENV, raw)
